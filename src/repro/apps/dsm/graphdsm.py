@@ -46,10 +46,6 @@ class LiteGraphDsm:
         )
         self.elapsed_us = 0.0
 
-    def _addr_of(self, vertex: int) -> int:
-        part = self.graph.owner_of(vertex)
-        return (self.region_base[part] + self.graph.local_index(vertex)) * RANK_BYTES
-
     def _write_own(self, part: int, values: List[float]):
         """Acquire + store + release this partition's region (generator)."""
         node = self.dsm.nodes[part]

@@ -83,12 +83,6 @@ class PartitionedGraph:
         """Position of ``vertex`` in its owner's dense array."""
         return vertex // self.n_partitions
 
-    def edges_in_partition(self, part: int) -> int:
-        """In-edges terminating at vertices owned by ``part``."""
-        return sum(
-            len(self.in_neighbors.get(v, ())) for v in self.owned[part]
-        )
-
 
 def pagerank_reference(graph: PartitionedGraph, iterations: int,
                        damping: float = 0.85) -> List[float]:

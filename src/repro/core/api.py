@@ -688,7 +688,7 @@ class LiteContext:
         enter_cost = params.lite_syscall_enter_us
         stack_cost = params.lite_reply_stack_us
         t_u = sim.now + enter_cost + stack_cost
-        if not sim._nowq and not call.replied and sim.fp_horizon() > t_u:
+        if not call.replied and sim.fp_clear_after(t_u) is not None:
             gate = sim.event()
             sim.fp_schedule(t_u, gate.succeed)
             yield gate

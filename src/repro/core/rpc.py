@@ -455,7 +455,7 @@ class RpcEngine:
         enter_cost = params.lite_syscall_enter_us
         meta_cost = params.lite_metadata_us
         t_meta = sim.now + enter_cost + meta_cost
-        if not sim._nowq and sim.fp_horizon() > t_meta:
+        if sim.fp_clear_after(t_meta) is not None:
             gate = sim.event()
             sim.fp_schedule(t_meta, gate.succeed)
             yield gate
@@ -619,7 +619,7 @@ class RpcEngine:
         self._inflight.add(key)
         rec = self._fused_recv.get(func_id)
         if (rec is not None and self.sim.fastpath_enabled
-                and not self.sim._nowq and not store.items
+                and not store.items
                 and len(store._getters) == 1
                 and store._getters[0] is rec.event):
             # Fused arrival crossing: the parked server thread's wake-up
@@ -638,7 +638,7 @@ class RpcEngine:
             recv_cost += input_len / params.memcpy_bytes_per_us
             t_r = t_p + mid_cost + recv_cost
             t_s = t_r + rec.exit_cost
-            if sim.fp_horizon() > t_s:
+            if sim.fp_clear_after(t_s) is not None:
                 rec.fused_at = t_p
                 store._getters.popleft()
                 cpu = self.kernel.node.cpu
@@ -708,8 +708,7 @@ class RpcEngine:
         if pending is None:
             return
         sim = self.sim
-        if (pending.park_at is not None and sim.fastpath_enabled
-                and not sim._nowq):
+        if pending.park_at is not None and sim.fastpath_enabled:
             # Fused reply crossing: the client parked via call_fast, so
             # the rest of its timeline is deterministic — adaptive-wait
             # tail to t_mid, buffer read + free + QoS observation at
@@ -730,7 +729,7 @@ class RpcEngine:
                     mid_cost = params.thread_wakeup_us
                 t_mid = t_x + mid_cost
                 t_z = t_mid + params.lite_sharedpage_return_us
-                if sim.fp_horizon() > t_z:
+                if sim.fp_clear_after(t_z) is not None:
                     # Seq-pad ledger: slow enqueues 3 here (reply
                     # succeed, adaptive tail timeout, syscall-return
                     # timeout); fused enqueues 3 (two fp entries + the

@@ -65,11 +65,6 @@ class SyncService:
         else:
             state.credits += 1
 
-    def lock_queue_length(self, lock_name: str) -> int:
-        """Waiters currently queued on a lock."""
-        state = self._locks.get(lock_name)
-        return len(state.queue) if state else 0
-
     # -- barriers ----------------------------------------------------------
     def barrier_arrive(self, name: str, n: int) -> Event:
         """Register an arrival; the event fires when ``n`` have arrived."""

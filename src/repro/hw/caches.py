@@ -137,14 +137,6 @@ class LruCache:
                 return False
         return True
 
-    def _install(self, key: Hashable) -> None:
-        entries = self._entries
-        if len(entries) >= self.capacity:
-            del entries[next(iter(entries))]
-            self.stats.evictions += 1
-        entries[key] = None
-        self.stats.installs += 1
-
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry (e.g., MR deregistration); True if present."""
         if key in self._entries:

@@ -164,10 +164,6 @@ class SimParams:
         """PCIe DMA time for ``nbytes`` (setup + transfer)."""
         return self.rnic_dma_setup_us + nbytes / self.rnic_dma_bytes_per_us
 
-    def memcpy_time(self, nbytes: int) -> float:
-        """Single-core DRAM copy time for ``nbytes``."""
-        return nbytes / self.memcpy_bytes_per_us
-
     def pages_touched(self, offset: int, nbytes: int) -> int:
         """Number of 4 KB pages an access of ``nbytes`` at ``offset`` spans."""
         if nbytes <= 0:

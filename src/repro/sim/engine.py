@@ -603,6 +603,33 @@ class Simulator:
         entry, _container = self._earliest()
         return entry[0] if entry is not None else float("inf")
 
+    def fp_clear_after(self, t: float) -> Optional[float]:
+        """The commit gate: the horizon if nothing ordinary is due by ``t``.
+
+        Returns ``fp_horizon()`` when the now-queue is empty and the
+        earliest ordinary event lies strictly after ``t``; ``None``
+        otherwise.  Every fast entry asks this first, with ``t`` the
+        op's doorbell instant — a lower bound on any completion it could
+        commit — and reuses the returned horizon for its final
+        completion-time check, so a commit pays for one horizon lookup
+        and a doomed attempt pays for nothing else (INTERNALS §13).
+        """
+        if self._nowq:
+            return None
+        # Under contention the blocking event nearly always sits in the
+        # current microsecond's wheel slot: veto on it without the full
+        # scan.  Any live entry at or before ``t`` is a sound veto.
+        slot = self._wheel[int(self.now) & _WHEEL_MASK]
+        if slot:
+            first = slot[0]
+            if first[0] <= t and not first[2]._cancelled:
+                return None
+        entry, _container = self._earliest()
+        if entry is None:
+            return float("inf")
+        horizon = entry[0]
+        return horizon if horizon > t else None
+
     def _compact(self) -> None:
         """Rebuild the queues without their cancelled entries.
 

@@ -9,7 +9,7 @@ broadcast signals.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque, Optional
 
 from .engine import Event, Simulator, SimulationError
 
@@ -257,15 +257,3 @@ class Gauge:
             return self._value
         area = self._area + self._value * (self.sim.now - self._last_change)
         return area / elapsed
-
-
-def rate_limiter(sim: Simulator, rate_per_us: Callable[[], float]):
-    """Generator helper: wait the inter-token gap of a dynamic rate.
-
-    ``rate_per_us`` is sampled at each call so policies can adjust the
-    rate while traffic is in flight (used by the SW-Pri QoS policy).
-    """
-    rate = rate_per_us()
-    if rate <= 0:
-        raise SimulationError("rate limiter needs a positive rate")
-    yield sim.timeout(1.0 / rate)

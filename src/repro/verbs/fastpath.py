@@ -41,6 +41,12 @@ Soundness rests on two pillars:
    actors in the simulation are this op's own batch dispatches and those
    of previously committed fast ops — so no third party can observe the
    (slightly widened) hold windows or the eagerly-applied counters.
+   Every entry asks the engine's commit gate first,
+   ``Simulator.fp_clear_after(now + doorbell)``: every completion lies
+   at or after the doorbell instant, so a horizon at or before it
+   dooms the op before any table, plan or timeline work, and the
+   horizon the gate returns is reused for the final check.  Each
+   fallback is counted by reason in ``fp_stats.declines``.
 
 What still deviates, by design (all counter/LRU-state end-equivalent,
 none timing-visible under the horizon check; see INTERNALS §13):
@@ -48,6 +54,9 @@ cache recency is replayed at commit time rather than at the lookup
 instants, and byte counters (fabric/RNIC/port) are applied at commit.
 Residual mismodels (a resource found full at an acquire instant, an SRQ
 drained by a foreign consumer mid-flight) are counted in ``fp_stats``.
+One known source: a fire-and-forget chain leg's caller keeps running
+at the commit instant, and a generator-path op it starts toward the
+same peer can take the leg's return-leg channels first.
 
 Sequence-counter padding: ``Simulator._seq`` doubles as the benchmark
 event counter, and every grant/timeout the slow path would have enqueued
@@ -66,7 +75,7 @@ from .wr import (ACK_BYTES, Access, Opcode, SendWR, WcStatus, WorkCompletion,
                  wire_bytes)
 
 __all__ = ["try_fast_post", "try_fast_post_vec", "try_fast_chain",
-           "prime_qp", "fp_stats", "FastPathStats"]
+           "prime_qp", "fp_stats", "FastPathStats", "DECLINE_REASONS"]
 
 _NEED_REMOTE_WRITE = Access.REMOTE_WRITE.value
 _NEED_REMOTE_READ = Access.REMOTE_READ.value
@@ -121,12 +130,28 @@ _CORE_PAD_WRITE_IMM = 13
 _FUSED_IMM_PAD = 12
 
 
+# Why an attempt fell back to the generator path (INTERNALS §13).  Every
+# entry call counts one attempt and every ``None`` return one decline,
+# so the counts partition ``attempts - commits`` over all three entries.
+DECLINE_REASONS = (
+    "tracer",      # tracer installed or REPRO_NO_FASTPATH kill switch
+    "gate",        # now-queue busy or an ordinary event due by completion
+    "contention",  # SQ/window/pipeline/port/recv-queue busy, order barrier
+    "sram",        # an RNIC SRAM lookup (QP, key, PTE) would miss
+    "loopback",    # source and destination are the same node
+    "fault",       # a fault hook is installed on the fabric
+    "peer",        # dead, crashed or fenced remote end (QP, port, MR)
+    "shape",       # op outside the model (SGL, opcode, bounds, QP type)
+)
+
+
 class FastPathStats:
     """Module-wide fast-path telemetry (host-side only, not sim state)."""
 
     __slots__ = ("attempts", "commits", "mismodels", "table_builds",
                  "vec_attempts", "vec_commits", "plan_builds", "plan_hits",
-                 "chain_attempts", "chain_commits")
+                 "chain_attempts", "chain_commits", "declines",
+                 "ring_refusals")
 
     def __init__(self):
         self.reset()
@@ -142,6 +167,11 @@ class FastPathStats:
         self.plan_hits = 0
         self.chain_attempts = 0
         self.chain_commits = 0
+        self.declines = dict.fromkeys(DECLINE_REASONS, 0)
+        # fp_rpc_gate refusals (ring wrap, unbound ring, dead client):
+        # the write-imm loses fused delivery but may still commit
+        # one-sided, so these are not declines.
+        self.ring_refusals = 0
 
     def __repr__(self) -> str:
         return (f"FastPathStats(attempts={self.attempts}, "
@@ -150,6 +180,11 @@ class FastPathStats:
 
 
 fp_stats = FastPathStats()
+
+
+def _decline(reason):
+    """Count one decline; returns None for ``return _decline(...)``."""
+    fp_stats.declines[reason] += 1
 
 
 class CostTable:
@@ -326,6 +361,15 @@ class CostTable:
         return entry
 
 
+def _path_reason(fabric, src_port, dst_port):
+    """The decline reason behind a failed ``fabric.fp_path_clear``."""
+    if fabric.fault is not None:
+        return "fault"
+    if not (src_port.up and dst_port.up):
+        return "peer"
+    return "contention"
+
+
 def _table_for(qp):
     table = qp._fp_table
     if table is not None and table.valid():
@@ -368,69 +412,72 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     (see the pad ledger above).
     """
     sim = qp.sim
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return None
     fp_stats.attempts += 1
+    if not sim.fastpath_enabled or sim.tracer is not None:
+        return _decline("tracer")
+    # The commit gate: every completion below is >= now + doorbell, so
+    # a horizon at or before that instant dooms the op before any table
+    # or timeline work.  The horizon is reused for the final check.
+    horizon = sim.fp_clear_after(sim.now + qp.device.params.rnic_doorbell_us)
+    if horizon is None:
+        return _decline("gate")
 
     opcode = wr.opcode
     if opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
         payload = wr.inline_data
         if payload is None or wr.sgl:
-            return None
+            return _decline("shape")
         nbytes = len(payload)
         if nbytes == 0:
-            return None
+            return _decline("shape")
     elif opcode is Opcode.READ:
         if wr.sgl or wr.inline_data is not None:
-            return None
+            return _decline("shape")
         payload = None
         nbytes = wr.read_length
         if nbytes <= 0:
-            return None
+            return _decline("shape")
     else:
-        return None
+        return _decline("shape")
 
-    if (not qp._is_rc or qp.state != "RTS" or qp.remote is None
-            or wr.delivered is not None):
-        return None
+    if not qp._is_rc or qp.remote is None or wr.delivered is not None:
+        return _decline("shape")
+    if qp.state != "RTS":
+        return _decline("peer")
     pred = qp._last_remote_done
     if pred is not None and pred.callbacks is not None:
-        return None
+        return _decline("contention")
     sq = qp._sq_slots
     if sq.in_use >= sq.capacity:
-        return None
+        return _decline("contention")
     if window is not None and window.in_use >= window.capacity:
-        return None
-    if sim._nowq:
-        return None
+        return _decline("contention")
 
     table = _table_for(qp)
     if table is None:
-        return None
+        return _decline("peer")
     if table.src_node == table.dst_node:
-        return None  # loopback short-circuits the wire; keep it slow
+        # loopback short-circuits the wire; keep it slow
+        return _decline("loopback")
+    # Belt and suspenders against a dead/remapped peer: a crash downs
+    # the link (fp_path_clear) and fences every table (cost_version),
+    # but a *rebuilt* table toward a crashed-flag node must still
+    # decline.
+    if table.rdev.node.crashed:
+        return _decline("peer")
     fabric = table.fabric
-    if fabric.fault is not None:
-        return None
     src_port = table.src_port
     dst_port = table.dst_port
-    if not src_port.up or not dst_port.up:
-        return None
-    # Belt and suspenders against a dead/remapped peer: a crash downs
-    # the link (caught above) and fences every table (cost_version), but
-    # a *rebuilt* table toward a crashed-flag node must still decline.
-    if table.rdev.node.crashed:
-        return None
+    if not fabric.fp_path_clear(src_port, dst_port):
+        return _decline(_path_reason(fabric, src_port, dst_port))
     src_tx = table.src_tx
     dst_rx = table.dst_rx
     dst_tx = table.dst_tx
     src_rx = table.src_rx
-    if src_tx.in_use or dst_rx.in_use or dst_tx.in_use or src_rx.in_use:
-        return None
     lpipe = table.lpipe
     rpipe = table.rpipe
     if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return None
+        return _decline("contention")
 
     # All SRAM lookups must hit, so every lookup cost is exactly 0.0 and
     # the precomputed occupancies apply.  Probes are non-mutating; the
@@ -439,12 +486,12 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     rrnic = table.rrnic
     dst_qpn = table.dst_qpn
     if not lrnic.qp_cache.contains(qp.qpn):
-        return None
+        return _decline("sram")
     if not rrnic.qp_cache.contains(dst_qpn):
-        return None
+        return _decline("sram")
     rkey = wr.rkey
     if not rrnic.key_cache.contains(rkey):
-        return None
+        return _decline("sram")
 
     rdev = table.rdev
     need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
@@ -458,11 +505,11 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     if phys is not None:
         mr, base, end = phys
         if mr.deregistered:
-            return None
+            return _decline("peer")
         if not (base <= addr and addr + nbytes <= end):
-            return None
+            return _decline("shape")
         if not (mr._access_bits & need):
-            return None
+            return _decline("shape")
         pages = ()
         preg = table._pregions.get(rkey)
         if (preg is not None and not preg[0].freed
@@ -473,7 +520,7 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
             try:
                 backing, reg_off = mr._backing(addr - base, nbytes)
             except ValueError:
-                return None
+                return _decline("shape")
             table._pregions[rkey] = (
                 backing, backing.addr, backing.addr + backing.size)
     else:
@@ -483,17 +530,17 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         else:
             mr = rdev.mrs_by_rkey.get(rkey)
             if mr is None or mr.deregistered:
-                return None
+                return _decline("peer")
             base = mr.base_addr
             if not (base <= addr and addr + nbytes <= base + mr.size):
-                return None
+                return _decline("shape")
             if not (mr._access_bits & need):
-                return None
+                return _decline("shape")
             offset = addr - base
             try:
                 backing, reg_off = mr._backing(offset, nbytes)
             except ValueError:
-                return None
+                return _decline("shape")
             if mr.physical:
                 pages = ()
                 table._phys[rkey] = (mr, base, base + mr.size)
@@ -506,7 +553,7 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
                     mr, offset, pages, table._mem.version, backing, reg_off,
                 )
     if pages and not rrnic.pte_cache.contains_all(pages):
-        return None
+        return _decline("sram")
 
     rqp = srq_source = srq_items = None
     fused_kernel = fcq = None
@@ -516,7 +563,7 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
             rqp = rdev.qps.get(dst_qpn)
             table.rqp = rqp
             if rqp is None:
-                return None
+                return _decline("peer")
         srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
         if srq_source is not table.srq_source:
             try:
@@ -528,7 +575,7 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
             table.srq_items = store.items
         srq_items = table.srq_items
         if len(srq_source) <= srq_source._fp_claims:
-            return None
+            return _decline("contention")
         # Fused two-sided delivery: eligible when the destination is a
         # LITE kernel whose batch==1 poll loop is the sole parked getter
         # on this recv CQ, no earlier fused delivery is outstanding, and
@@ -547,12 +594,13 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
                     fcq = None
                 else:
                     cq_store = fcq._store
-                    if (not cq_store.items
-                            and len(cq_store._getters) == 1
-                            and lite.fp_rpc_gate(
-                                imm, table.src_node, wr.remote_addr)):
+                    if cq_store.items or len(cq_store._getters) != 1:
+                        fcq = None
+                    elif lite.fp_rpc_gate(imm, table.src_node,
+                                          wr.remote_addr):
                         fused_kernel = lite
                     else:
+                        fp_stats.ring_refusals += 1
                         fcq = None
 
     # ---- timeline (floats accumulated in the slow path's add order) ----
@@ -596,8 +644,8 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     t_guard = t_end
     if fused_kernel is not None and t_disp > t_guard:
         t_guard = t_disp
-    if sim.fp_horizon() <= t_guard:
-        return None
+    if horizon <= t_guard:
+        return _decline("gate")
 
     # ---- commit ------------------------------------------------------
     fp_stats.commits += 1
@@ -867,54 +915,53 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
     touched — the caller then builds the WR and takes the generator
     path, consuming the same wr_id the chain would have.
     """
-    kernel = engine.kernel
     sim = engine.sim
+    fp_stats.chain_attempts += 1
     if not sim.fastpath_enabled or sim.tracer is not None:
-        return None
-    if sim._nowq:
-        return None
+        return _decline("tracer")
+    horizon = sim.fp_clear_after(sim.now + engine.params.rnic_doorbell_us)
+    if horizon is None:
+        return _decline("gate")
     nbytes = len(data)
     if nbytes == 0:
-        return None
-    fp_stats.chain_attempts += 1
+        return _decline("shape")
 
+    kernel = engine.kernel
     pairs = kernel.qos.eligible_qps(peer, priority)
     qp, window = pairs[peer._rr % len(pairs)]
-    if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
-        return None
+    if not qp._is_rc or qp.remote is None:
+        return _decline("shape")
+    if qp.state != "RTS":
+        return _decline("peer")
     pred = qp._last_remote_done
     if pred is not None and pred.callbacks is not None:
-        return None
+        return _decline("contention")
     sq = qp._sq_slots
     if sq.in_use >= sq.capacity:
-        return None
+        return _decline("contention")
     if window.in_use >= window.capacity:
-        return None
+        return _decline("contention")
 
     table = _table_for(qp)
     if table is None:
-        return None
+        return _decline("peer")
     if table.src_node == table.dst_node:
-        return None
+        return _decline("loopback")
+    if table.rdev.node.crashed:
+        return _decline("peer")
     fabric = table.fabric
-    if fabric.fault is not None:
-        return None
     src_port = table.src_port
     dst_port = table.dst_port
-    if not src_port.up or not dst_port.up:
-        return None
-    if table.rdev.node.crashed:
-        return None
+    if not fabric.fp_path_clear(src_port, dst_port):
+        return _decline(_path_reason(fabric, src_port, dst_port))
     src_tx = table.src_tx
     dst_rx = table.dst_rx
     dst_tx = table.dst_tx
     src_rx = table.src_rx
-    if src_tx.in_use or dst_rx.in_use or dst_tx.in_use or src_rx.in_use:
-        return None
     lpipe = table.lpipe
     rpipe = table.rpipe
     if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return None
+        return _decline("contention")
 
     lrnic = table.lrnic
     rrnic = table.rrnic
@@ -925,7 +972,7 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
     if (qp.qpn not in lrnic.qp_cache._entries
             or dst_qpn not in rrnic.qp_cache._entries
             or rkey not in rrnic.key_cache._entries):
-        return None
+        return _decline("sram")
 
     rdev = table.rdev
     # Raw writes always target the peer's physical global MR, so after
@@ -935,11 +982,11 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
     if phys is not None:
         mr, base, end = phys
         if mr.deregistered:
-            return None
+            return _decline("peer")
         if not (base <= addr and addr + nbytes <= end):
-            return None
+            return _decline("shape")
         if not (mr._access_bits & _NEED_REMOTE_WRITE):
-            return None
+            return _decline("shape")
         pages = ()
         preg = table._pregions.get(rkey)
         if (preg is not None and not preg[0].freed
@@ -950,29 +997,29 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
             try:
                 backing, reg_off = mr._backing(addr - base, nbytes)
             except ValueError:
-                return None
+                return _decline("shape")
             table._pregions[rkey] = (
                 backing, backing.addr, backing.addr + backing.size)
     else:
         mr = rdev.mrs_by_rkey.get(rkey)
         if mr is None or mr.deregistered:
-            return None
+            return _decline("peer")
         base = mr.base_addr
         if not (base <= addr and addr + nbytes <= base + mr.size):
-            return None
+            return _decline("shape")
         if not (mr._access_bits & _NEED_REMOTE_WRITE):
-            return None
+            return _decline("shape")
         try:
             backing, reg_off = mr._backing(addr - base, nbytes)
         except ValueError:
-            return None
+            return _decline("shape")
         if mr.physical:
             pages = ()
             table._phys[rkey] = (mr, base, base + mr.size)
         else:
             pages = tuple(mr.page_ids(addr - base, nbytes))
     if pages and not rrnic.pte_cache.contains_all(pages):
-        return None
+        return _decline("sram")
 
     rqp = srq_source = srq_items = None
     fused_kernel = fcq = None
@@ -982,7 +1029,7 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
             rqp = rdev.qps.get(dst_qpn)
             table.rqp = rqp
             if rqp is None:
-                return None
+                return _decline("peer")
         srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
         if srq_source is not table.srq_source:
             try:
@@ -994,7 +1041,7 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
             table.srq_items = store.items
         srq_items = table.srq_items
         if len(srq_source) <= srq_source._fp_claims:
-            return None
+            return _decline("contention")
         lite = rdev.node.lite
         if (lite is not None and lite._poller is not None
                 and lite.params.cq_poll_batch <= 1):
@@ -1003,11 +1050,12 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
                 fcq = None
             else:
                 cq_store = fcq._store
-                if (not cq_store.items
-                        and len(cq_store._getters) == 1
-                        and lite.fp_rpc_gate(imm, table.src_node, addr)):
+                if cq_store.items or len(cq_store._getters) != 1:
+                    fcq = None
+                elif lite.fp_rpc_gate(imm, table.src_node, addr):
                     fused_kernel = lite
                 else:
+                    fp_stats.ring_refusals += 1
                     fcq = None
 
     # ---- timeline (identical float-add order to try_fast_post) -------
@@ -1030,8 +1078,8 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
     t_guard = t_end
     if fused_kernel is not None and t_disp > t_guard:
         t_guard = t_disp
-    if sim.fp_horizon() <= t_guard:
-        return None
+    if horizon <= t_guard:
+        return _decline("gate")
 
     # ---- commit ------------------------------------------------------
     fp_stats.chain_commits += 1
@@ -1281,7 +1329,8 @@ def _build_vec_plan(kernel, mapping, offset, nbytes, opcode):
 
     Returns a VecPlan (possibly ok=False, which *is* memoised), or
     None for conditions the slow path must surface itself (unknown or
-    dead peer, failed remote resolution) — those are not memoised.
+    dead peer, failed remote resolution) — those are not memoised, and
+    their decline is counted here.
     """
     lite_id = kernel.lite_id
     need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
@@ -1293,28 +1342,28 @@ def _build_vec_plan(kernel, mapping, offset, nbytes, opcode):
             return VecPlan(mapping.plan_version, False)
         peer = kernel.peers.get(chunk.node_id)
         if peer is None or not peer.alive:
-            return None
+            return _decline("peer")
         # chunk.node_id is a LITE id; the fabric is keyed by node id.
         rnode = fabric.nodes.get(peer.node_id)
         if rnode is None or rnode._verbs_device is None:
-            return None
+            return _decline("peer")
         if chunk.rkey is not None:
             remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
         else:
             remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
         mr = rnode.device.mrs_by_rkey.get(rkey)
         if mr is None or mr.deregistered:
-            return None
+            return _decline("peer")
         base = mr.base_addr
         if not (base <= remote_addr
                 and remote_addr + piece_len <= base + mr.size):
-            return None
+            return _decline("shape")
         if not (mr._access_bits & need):
-            return None
+            return _decline("shape")
         try:
             backing, reg_off = mr._backing(remote_addr - base, piece_len)
         except ValueError:
-            return None
+            return _decline("shape")
         piece = _VecPiece()
         piece.dst_node = chunk.node_id
         piece.remote_addr = remote_addr
@@ -1436,7 +1485,7 @@ def _vec_pipe_pass(order, t_req, dur, cap):
 
 def _vec_commit_single(engine, sim, kernel, mapping, key, plan, p, qp,
                        window, table, peer, payload, read_op, opcode,
-                       t0, t1):
+                       t0, t1, horizon):
     """Commit a validated single-piece plan (k == 1) straight-line.
 
     The general chain solvers collapse to a linear float chain at
@@ -1463,8 +1512,8 @@ def _vec_commit_single(engine, sim, kernel, mapping, key, plan, p, qp,
     else:
         a1 = t5 + table.ack_ser
         t_end = ((a1 + table.prop) + table.rnic_ack) + table.completion_l
-    if sim.fp_horizon() <= t_end:
-        return None
+    if horizon <= t_end:
+        return _decline("gate")
 
     # ---- commit (state mutations in the general path's order) --------
     fp_stats.vec_commits += 1
@@ -1619,13 +1668,14 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     the per-piece path.
     """
     sim = engine.sim
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return None
-    if sim._nowq:
-        return None
-    if mapping.replica_chunks or nbytes <= 0:
-        return None
     fp_stats.vec_attempts += 1
+    if not sim.fastpath_enabled or sim.tracer is not None:
+        return _decline("tracer")
+    horizon = sim.fp_clear_after(sim.now + engine.params.rnic_doorbell_us)
+    if horizon is None:
+        return _decline("gate")
+    if mapping.replica_chunks or nbytes <= 0:
+        return _decline("shape")
     kernel = engine.kernel
 
     # ---- plan memo ---------------------------------------------------
@@ -1637,14 +1687,14 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     if plan is None:
         plan = _build_vec_plan(kernel, mapping, offset, nbytes, opcode)
         if plan is None:
-            return None
+            return None  # decline counted by _build_vec_plan
         if len(plans) >= _MEMO_MAX:
             plans.clear()
         plans[key] = plan
     else:
         fp_stats.plan_hits += 1
     if not plan.ok:
-        return None
+        return _decline("loopback")
 
     # ---- dynamic validation (QPs, endpoints, contention, caches) -----
     pieces = plan.pieces
@@ -1659,50 +1709,53 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     for pid, idxs in groups:
         peer = kernel.peers.get(pid)
         if peer is None or not peer.alive:
-            return None
+            return _decline("peer")
         pairs = qos.eligible_qps(peer, priority)
         npairs = len(pairs)
         if len(idxs) > npairs:
-            return None
+            return _decline("shape")
         peer_objs.append(peer)
         rr = peer._rr
         first_table = None
         for j, i in enumerate(idxs):
             qp, window = pairs[(rr + j) % npairs]
-            if not qp._is_rc or qp.state != "RTS" or qp.remote is None:
-                return None
+            if not qp._is_rc or qp.remote is None:
+                return _decline("shape")
+            if qp.state != "RTS":
+                return _decline("peer")
             pred = qp._last_remote_done
             if pred is not None and pred.callbacks is not None:
-                return None
+                return _decline("contention")
             sq = qp._sq_slots
             if sq.in_use >= sq.capacity:
-                return None
+                return _decline("contention")
             if window.in_use >= window.capacity:
-                return None
+                return _decline("contention")
             table = _table_for(qp)
             if table is None:
-                return None
-            if (table.src_node == table.dst_node
-                    or table.dst_node != peer.node_id):
-                return None
-            if table.rdev.node.crashed:
-                return None
+                return _decline("peer")
+            if table.src_node == table.dst_node:
+                return _decline("loopback")
+            if table.dst_node != peer.node_id or table.rdev.node.crashed:
+                return _decline("peer")
             qps[i] = qp
             windows[i] = window
             tables[i] = table
             if first_table is None:
                 first_table = table
         # Per-peer path and responder pipeline, once per peer.
-        if not first_table.fabric.fp_path_clear(
-                first_table.src_port, first_table.dst_port):
-            return None
+        fabric = first_table.fabric
+        src_port = first_table.src_port
+        dst_port = first_table.dst_port
+        if not fabric.fp_path_clear(src_port, dst_port):
+            return _decline(_path_reason(fabric, src_port, dst_port))
         rpipe = first_table.rpipe
         if rpipe.in_use or len(idxs) > rpipe.capacity:
-            return None
+            return _decline("contention")
         if lpipe is None:
             lpipe = first_table.lpipe
     if lpipe.in_use:
-        return None
+        return _decline("contention")
 
     lrnic = tables[0].lrnic
     need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
@@ -1710,22 +1763,22 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
         p = pieces[i]
         table = tables[i]
         if not lrnic.qp_cache.contains(qps[i].qpn):
-            return None
+            return _decline("sram")
         rrnic = table.rrnic
         if not rrnic.qp_cache.contains(table.dst_qpn):
-            return None
+            return _decline("sram")
         if not rrnic.key_cache.contains(p.rkey):
-            return None
+            return _decline("sram")
         if p.pages and not rrnic.pte_cache.contains_all(p.pages):
-            return None
+            return _decline("sram")
         if p.mr.deregistered:
-            return None
+            return _decline("peer")
         if p.backing.freed:
             try:
                 p.backing, p.reg_off = p.mr._backing(
                     p.remote_addr - p.mr.base_addr, p.nbytes)
             except ValueError:
-                return None
+                return _decline("shape")
 
     # ---- timeline (slow path's float-add order throughout) -----------
     t0 = sim.now
@@ -1743,7 +1796,7 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
         return _vec_commit_single(
             engine, sim, kernel, mapping, key, plan, pieces[0], qps[0],
             windows[0], table0, peer_objs[0], payload, read_op, opcode,
-            t0, t1)
+            t0, t1, horizon)
     dur_l = [0.0] * k
     dur_r = [0.0] * k
     ser = [0.0] * k
@@ -1817,8 +1870,8 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
                  for i in range(k)]
 
     last = max(piece_order, key=lambda i: (t_end[i], i))
-    if sim.fp_horizon() <= t_end[last]:
-        return None
+    if horizon <= t_end[last]:
+        return _decline("gate")
 
     # ---- commit ------------------------------------------------------
     fp_stats.vec_commits += 1

@@ -129,17 +129,6 @@ class QueuePair:
             raise ValueError("UD QPs are connectionless")
         self.remote = (remote_node_id, remote_qpn)
 
-    def modify_qp(self, timeout_us: Optional[float] = None,
-                  retry_cnt: Optional[int] = None,
-                  rnr_retry: Optional[int] = None) -> None:
-        """Adjust the transport retry attributes (ibv_modify_qp subset)."""
-        if timeout_us is not None:
-            self.timeout_us = timeout_us
-        if retry_cnt is not None:
-            self.retry_cnt = retry_cnt
-        if rnr_retry is not None:
-            self.rnr_retry = rnr_retry
-
     def reset(self) -> None:
         """Recover an errored QP (RESET -> ... -> RTS cycle, collapsed).
 

@@ -70,10 +70,6 @@ class FacebookKV:
         return gap * amplification
 
     # -- trace construction -----------------------------------------------
-    def request_sizes(self, count: int) -> List[int]:
-        """Value sizes of ``count`` consecutive requests (Fig 12 input)."""
-        return [self.value_size() for _ in range(count)]
-
     def arrival_times(self, count: int, amplification: float = 1.0,
                       start: float = 0.0) -> List[float]:
         """Absolute timestamps of ``count`` consecutive requests."""

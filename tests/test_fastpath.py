@@ -16,6 +16,7 @@ differ — end states may not.
 import dataclasses
 import os
 import random
+import sys
 
 import pytest
 
@@ -31,9 +32,12 @@ from repro.core import (
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import MB, SimParams
 from repro.recovery import RecoveryManager
+from repro.sim import Simulator
 from repro.stats import snapshot
-from repro.verbs import Access
+from repro.verbs import Access, fastpath
 from repro.verbs.fastpath import CostTable, fp_stats, prime_qp, try_fast_post
+
+from tests.test_fastpath_vec import _run_vec_workload
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +130,179 @@ def _run_workload(seed: int, fastpath: bool, faults: bool):
 def test_fastpath_equivalence_randomized(seed, faults):
     fast = _run_workload(seed, fastpath=True, faults=faults)
     slow = _run_workload(seed, fastpath=False, faults=faults)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "event sequence counter diverged"
+    assert fast[2] == slow[2], "cluster snapshot diverged"
+    assert fast[3] == slow[3], "op outcomes diverged"
+
+
+# ---------------------------------------------------------------------------
+# Commit gate: declines under contention are free and change nothing
+# ---------------------------------------------------------------------------
+def _fp_counts():
+    """Commit tallies of all three entries, mismodels, then the attempt
+    and decline totals."""
+    return (fp_stats.commits, fp_stats.vec_commits, fp_stats.chain_commits,
+            fp_stats.mismodels,
+            fp_stats.attempts + fp_stats.vec_attempts
+            + fp_stats.chain_attempts,
+            sum(fp_stats.declines.values()))
+
+
+def _run_contended(fastpath: bool, think_us: float = 0.0):
+    """Eight concurrent callers mixing LT_read and LT_RPC on one server.
+
+    Four user contexts on each of two client nodes hit LMRs and an RPC
+    function that all live on the third node.  Back to back
+    (``think_us=0``) nearly every fast attempt finds another caller's
+    event due within its doorbell time; with a seeded exponential think
+    time between ops, callers spread out and commits happen under a
+    finite horizon.  Returns end-state observables.
+    """
+    saved = os.environ.get("REPRO_NO_FASTPATH")
+    _with_fastpath(fastpath)
+    reset_global_counters()
+    try:
+        cluster = Cluster(3)
+        kernels = lite_boot(cluster)
+        sim = cluster.sim
+        server = LiteContext(kernels[2], "srv")
+        sim.process(rpc_server_loop(server, 1, lambda data: data[:32]))
+        outcomes = []
+
+        def caller(index):
+            ctx = LiteContext(kernels[index % 2], f"caller{index}")
+            lh = yield from ctx.lt_malloc(64 * 1024, nodes=3)
+            rng = random.Random(index)
+            for op in range(40):
+                size = rng.choice((64, 512, 4096))
+                if rng.random() < 0.5:
+                    data = yield from ctx.lt_read(
+                        lh, rng.randrange(0, 56) * 1024, size)
+                    outcomes.append((index, op, len(data)))
+                else:
+                    reply = yield from ctx.lt_rpc(
+                        3, 1, bytes([op]) * (size // 8), max_reply=256)
+                    outcomes.append((index, op, reply[:4]))
+                if think_us:
+                    yield sim.timeout(rng.expovariate(1.0 / think_us))
+
+        def driver():
+            yield sim.all_of([sim.process(caller(i)) for i in range(8)])
+
+        cluster.run_process(driver())
+        sim.run()
+        snap = dataclasses.asdict(snapshot(cluster))
+        return sim.now, sim._seq, snap, outcomes
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = saved
+
+
+def test_contended_ab_identity_and_gate_declines():
+    """Contended mixes stay bit-identical, and the gate does the declining.
+
+    Every fast attempt counts one decline or one commit, and under this
+    load at least 99% of the declines happen at the O(1) commit gate —
+    before any cost-table, plan or timeline work."""
+    gate_before = fp_stats.declines["gate"]
+    before = _fp_counts()
+    fast = _run_contended(fastpath=True)
+    after = _fp_counts()
+    commits = sum(after[:3]) - sum(before[:3])
+    attempts = after[4] - before[4]
+    declines = after[5] - before[5]
+    gate = fp_stats.declines["gate"] - gate_before
+    assert after[3] == before[3], "a commit mismodelled a contended hold"
+    assert attempts > 500, "the callers must actually reach the fast path"
+    assert declines == attempts - commits, \
+        "every attempt is one commit or one counted decline"
+    assert gate >= 0.99 * declines, \
+        f"only {gate}/{declines} declines came from the commit gate"
+    slow = _run_contended(fastpath=False)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "event sequence counter diverged"
+    assert fast[2] == slow[2], "cluster snapshot diverged"
+    assert fast[3] == slow[3], "op outcomes diverged"
+
+
+def _bypass_gate(monkeypatch):
+    """Let every fast entry past its commit gate.
+
+    Calls from ``verbs/fastpath.py`` get the bare horizon, so each entry
+    does all of its table, plan and timeline work and decides at its
+    final completion-time check alone.  The RPC crossing fusions keep
+    the real predicate: it is their only check.
+    """
+    real = Simulator.fp_clear_after
+    entry_globals = fastpath.__dict__
+
+    def bypassed(self, t):
+        if sys._getframe(1).f_globals is entry_globals:
+            return self.fp_horizon()
+        return real(self, t)
+
+    monkeypatch.setattr(Simulator, "fp_clear_after", bypassed)
+
+
+def _gate_ab(monkeypatch, run):
+    """Commit and mismodel tallies, final time and seq of ``run`` — with
+    the gate on, then bypassed."""
+    results = []
+    for bypass in (False, True):
+        with monkeypatch.context() as patch:
+            if bypass:
+                _bypass_gate(patch)
+            before = _fp_counts()
+            observables = run()
+            after = _fp_counts()
+        results.append((tuple(a - b for a, b in zip(after[:4], before[:4])),
+                        observables[0], observables[1]))
+    return results
+
+
+@pytest.mark.parametrize("seed", [7, 23, 91])
+def test_commit_gate_sound_randomized(monkeypatch, seed):
+    """The gate only turns away ops that would have declined anyway:
+    with it bypassed the same commits, chain commits, mismodels and
+    final ``_seq`` come out of the randomized mixed workload."""
+    gated, bypassed = _gate_ab(
+        monkeypatch, lambda: _run_workload(seed, fastpath=True, faults=False))
+    assert gated[0][1] > 0 and gated[0][2] > 0, \
+        "the workload must commit one-sided ops and chain legs"
+    assert gated == bypassed
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_commit_gate_sound_vec_randomized(monkeypatch, seed):
+    gated, bypassed = _gate_ab(
+        monkeypatch,
+        lambda: _run_vec_workload(seed, fastpath=True, faults=False))
+    assert gated[0][1] > 0, "the workload must commit vectorized ops"
+    assert gated == bypassed
+
+
+def test_commit_gate_sound_staggered(monkeypatch):
+    """In the single-driver scenarios above every commit's horizon lies
+    far past its completion, so even a gate reaching 2 µs beyond the
+    doorbell passes them all.  Staggered callers commit under nearby
+    horizons, so such a gate loses commits here — and the run must
+    still match the generator path bit for bit."""
+    runs = []
+
+    def run():
+        runs.append(_run_contended(fastpath=True, think_us=20.0))
+        return runs[-1]
+
+    gated, bypassed = _gate_ab(monkeypatch, run)
+    fast = runs[0]
+    assert gated[0][1] > 0 and gated[0][2] > 0, \
+        "staggered callers must commit vectorized ops and chain legs"
+    assert gated[0][3] == 0, "a commit mismodelled a contended hold"
+    assert gated == bypassed
+    slow = _run_contended(fastpath=False, think_us=20.0)
     assert fast[0] == slow[0], "final sim time diverged"
     assert fast[1] == slow[1], "event sequence counter diverged"
     assert fast[2] == slow[2], "cluster snapshot diverged"

@@ -121,11 +121,11 @@ def test_vec_equivalence_randomized(seed, faults):
     vec_before = fp_stats.vec_commits
     mismodels_before = fp_stats.mismodels
     fast = _run_vec_workload(seed, fastpath=True, faults=faults)
+    assert fp_stats.mismodels == mismodels_before, \
+        "vectorized runs must not widen any hold"
     if not faults:
         assert fp_stats.vec_commits > vec_before, \
             "the workload must actually exercise vectorized commits"
-        assert fp_stats.mismodels == mismodels_before, \
-            "clean vectorized runs must not widen any hold"
     slow = _run_vec_workload(seed, fastpath=False, faults=faults)
     assert fast[0] == slow[0], "final sim time diverged"
     assert fast[1] == slow[1], "event sequence counter diverged"

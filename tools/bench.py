@@ -41,6 +41,11 @@ except ImportError:
 from repro.cluster import Cluster  # noqa: E402
 from repro.core import LiteContext, lite_boot, rpc_server_loop  # noqa: E402
 
+try:
+    from repro.verbs.fastpath import fp_stats  # noqa: E402
+except ImportError:  # a tree from before the fast path
+    fp_stats = None
+
 
 KB = 1024
 MB = 1024 * 1024
@@ -531,10 +536,40 @@ def profile_mix(name: str, quick: bool) -> None:
     stats.print_stats(25)
 
 
+def _fp_totals():
+    """(commits, attempts, declines by reason) over every fast entry."""
+    if fp_stats is None:
+        return None
+    return (fp_stats.commits + fp_stats.vec_commits + fp_stats.chain_commits,
+            fp_stats.attempts + fp_stats.vec_attempts
+            + fp_stats.chain_attempts,
+            dict(getattr(fp_stats, "declines", {})))
+
+
+def _fp_summary(before, after) -> str:
+    """One mix's commit ratio and most frequent decline reason."""
+    if before is None:
+        return ""
+    commits = after[0] - before[0]
+    attempts = after[1] - before[1]
+    if not attempts:
+        return ", fast path not attempted"
+    text = f", {commits / attempts:.1%} fast commits"
+    declines = {reason: count - before[2].get(reason, 0)
+                for reason, count in after[2].items()}
+    top = max(declines, key=declines.get, default=None)
+    if top is not None and declines[top]:
+        share = declines[top] / (attempts - commits)
+        text += f", top decline {top} {share:.0%}"
+    return text
+
+
 def run_all(quick: bool) -> dict:
     results = {}
     for name, fn in MIXES.items():
+        fp_before = _fp_totals()
         sample = fn(quick)
+        fp_note = _fp_summary(fp_before, _fp_totals())
         sample["ops_per_s"] = sample["ops"] / sample["wall_s"]
         sample["events_per_s"] = sample["events"] / sample["wall_s"]
         # RSS high-water mark after each mix.  ru_maxrss is a process-
@@ -548,7 +583,7 @@ def run_all(quick: bool) -> dict:
         print(
             f"  {name:>10}: {sample['ops']:>6} ops in {sample['wall_s']:.3f} s "
             f"({sample['ops_per_s']:,.0f} ops/s, "
-            f"{sample['events_per_s']:,.0f} events/s)"
+            f"{sample['events_per_s']:,.0f} events/s{fp_note})"
         )
     results["peak_rss_kb"] = _peak_rss_kb()
     print(f"  peak RSS: {results['peak_rss_kb']:,} KB")
