@@ -56,27 +56,24 @@ class OneSidedEngine:
         self.async_write_failures = 0
 
     # -- helpers -----------------------------------------------------------
-    def _try_fast(self, peer, wr: SendWR, priority: int,
-                  extra_pad: int, make_handle: bool):
+    def _try_fast(self, peer, wr: SendWR, priority: int):
         """Attempt run-to-completion execution of one WR (see fastpath.py).
 
         Peeks the same (qp, window) pair :meth:`_post` would round-robin
         onto; the RR bump and the doorbell CPU charge are replayed only
         on commit, so a declined attempt leaves LITE state untouched and
         the generator fallback proceeds exactly as if never tried.
-        ``extra_pad`` is this layer's avoided-enqueue count: the process
-        boot + the instant window grant (+ the process-completion event
-        when no handle replaces it).
+        Returns the completion handle, or None.
         """
         pairs = self.kernel.qos.eligible_qps(peer, priority)
         qp, window = pairs[peer._rr % len(pairs)]
-        result = try_fast_post(qp, wr, window, extra_pad, make_handle)
-        if result is not None:
+        handle = try_fast_post(qp, wr, window)
+        if handle is not None:
             peer._rr += 1
             self.kernel.node.cpu.charge(
                 "lite-post", self.params.rnic_doorbell_us
             )
-        return result
+        return handle
 
     def _post(self, peer_id: int, wr: SendWR, priority: int):
         """Issue one WR on a shared QP, respecting per-QP windows.
@@ -244,7 +241,7 @@ class OneSidedEngine:
                     remote_addr=remote_addr,
                     rkey=rkey,
                 )
-                handle = self._try_fast(peer, wr, priority, 2, True)
+                handle = self._try_fast(peer, wr, priority)
                 if handle is not None:
                     procs.append(handle)
                 else:
@@ -308,7 +305,7 @@ class OneSidedEngine:
                 remote_addr=remote_addr,
                 rkey=rkey,
             )
-            handle = self._try_fast(peer, wr, priority, 2, True)
+            handle = self._try_fast(peer, wr, priority)
             if handle is not None:
                 procs.append(handle)
             else:
@@ -368,7 +365,7 @@ class OneSidedEngine:
                 rkey=rkey,
                 read_length=piece_len,
             )
-            handle = self._try_fast(peer, wr, priority, 2, True)
+            handle = self._try_fast(peer, wr, priority)
             if handle is not None:
                 procs.append(handle)
             else:
@@ -589,8 +586,7 @@ class OneSidedEngine:
         """
         peer = self.kernel.peer(peer_id)
         # Tri-post chain entry: commits the leg with no WR allocated at
-        # all (extra_pad 3: runner boot + window grant + runner
-        # completion; the chain bumps the wr_id counter itself).
+        # all (the chain bumps the wr_id counter itself).
         if try_fast_chain(self, peer, phys_addr, data, imm, priority) is not None:
             return
         opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM

@@ -11,6 +11,16 @@ responder-order event, CQE delivery) are scheduled as *batch dispatches*
 on the engine's fast-path queue (`Simulator.fp_schedule`) — one callable
 per distinct instant instead of one event per transition.
 
+Two interpreters replay that timeline.  ``_commit_piece`` is the only
+code that commits a single piece — signaled WRITE or READ, unsignaled
+WRITE, unsignaled WRITE_IMM with or without fused delivery — and three
+thin entries feed it: :func:`try_fast_post` (one LT_read/LT_write piece),
+:func:`try_fast_chain` (one raw write of the RPC tri-post chain) and the
+single-piece case of :func:`try_fast_post_vec`.  Multi-piece fan-outs
+go through the vec entry's closed-form FIFO solver.  Admission is
+shared as well: ``_admit`` holds the per-QP checks every entry runs, and
+``_resolve_span`` the remote-span resolution.
+
 Two-sided traffic fuses one step further: when a write-imm lands on a
 LITE kernel whose batch==1 poller is parked on the destination CQ, the
 receiver's poll iteration itself joins the chain.  The CQE bypasses the
@@ -62,9 +72,11 @@ Sequence-counter padding: ``Simulator._seq`` doubles as the benchmark
 event counter, and every grant/timeout the slow path would have enqueued
 bumps it.  A fast commit bumps ``_seq`` by the number of enqueues it
 *avoided* so the final count — and the absolute (time, seq) order of all
-surviving events — is identical with the fast path on or off.  The
-per-opcode pad constants below are derived in-line; the equivalence
-tests assert final ``_seq`` equality against ``REPRO_NO_FASTPATH=1``.
+surviving events — is identical with the fast path on or off.  One
+ledger (``_SLOW_ENQUEUES`` plus each entry's layer pad) gives the
+budget; a commit spends one bump per dispatch it pushes and pads the
+rest.  The equivalence tests assert final ``_seq`` equality against
+``REPRO_NO_FASTPATH=1``.
 """
 
 from __future__ import annotations
@@ -86,48 +98,36 @@ _WIRE0 = wire_bytes(0)
 # clears and rebuilds rather than growing without bound.
 _MEMO_MAX = 512
 
-# Enqueues the generator path performs per op that the fast path does
-# not, below the LITE layer (callers add their own layer's pad).
+# The _seq ledger: enqueues the generator path performs per piece from
+# post_send() onward, unsignaled.
 #
-# Slow-path enqueues from post_send() onward, common prefix (11):
-#   exec-process boot, SQ-slot grant, doorbell timeout, local-pipeline
-#   grant, local-RNIC timeout, src-TX grant, dst-RX grant, serialization
-#   timeout, propagation timeout, remote-pipeline grant, remote-RNIC
-#   timeout.
-# Plus per opcode:
-#   WRITE:     order-done, ACK leg (tx, rx, ser, prop, rnic-ack) = 6,
-#              exec-process succeed                     → 18 total
-#   WRITE_IMM: recv-queue grant, recv-completion timeout, order-done,
-#              ACK leg = 5, exec-process succeed        → 20 total
-#   READ:      order-done, response leg (tx, rx, ser, prop) = 4,
-#              2nd local pipeline grant + timeout = 2,
-#              exec-process succeed                     → 20 total
-# (+1 completion timeout when signaled.)
+#   Common prefix (11): exec-process boot, SQ-slot grant, doorbell
+#   timeout, local-pipeline grant, local-RNIC timeout, src-TX grant,
+#   dst-RX grant, serialization timeout, propagation timeout,
+#   remote-pipeline grant, remote-RNIC timeout.  Plus per opcode:
+#     WRITE:     order-done, ACK leg (tx, rx, ser, prop, rnic-ack) = 6,
+#                exec-process succeed                     → 18 total
+#     WRITE_IMM: recv-queue grant, recv-completion timeout, order-done,
+#                ACK leg = 8, exec-process succeed        → 20 total
+#     READ:      order-done, response leg (tx, rx, ser, prop) = 5,
+#                2nd local pipeline grant + timeout = 2,
+#                exec-process succeed                     → 19 total
+#   A signaled op adds its completion timeout.
 #
-# Fast-path real enqueues (fp_schedule bumps _seq once per dispatch,
-# order-done succeeds for real; the completion handle is accounted by
-# the caller's pad):
-#   WRITE:     5 dispatches + order-done = 6   → pad 18 - 6  = 12
-#   WRITE_IMM: 6 dispatches + order-done = 7   → pad 20 - 7  = 13
-#   READ:      7 dispatches + order-done = 8   → pad 20 - 8  = 11 (+1 sig)
-_CORE_PAD = {Opcode.WRITE: 12, Opcode.WRITE_IMM: 13, Opcode.READ: 11}
-# Hoisted scalars for the chain entry (skips the dict lookup).
-_CORE_PAD_WRITE = 12
-_CORE_PAD_WRITE_IMM = 13
+# Each entry adds the enqueues its LITE layer avoids per piece (the
+# *_LAYER_PAD constants).  A commit performs one order-done succeed per
+# piece for real and bumps _seq once per dispatch it pushes; it pads
+# the rest of the budget (_seq_budget) at commit.  A fused WRITE_IMM
+# pushes one dispatch more (the deferred kernel dispatch), so its pad
+# is one less; the two receiver-side enqueues it avoids at t_rc (the
+# CQ-getter succeed and the poller's discovery timeout) are padded by
+# the at_rc dispatch itself, only if the receiver is still parked then.
+_SLOW_ENQUEUES = {Opcode.WRITE: 18, Opcode.WRITE_IMM: 20, Opcode.READ: 19}
 
-# A *fused* two-sided WRITE_IMM spends one extra dispatch (the deferred
-# kernel dispatch at t_disp) → 7 dispatches + order-done = 8 real, so
-# its commit-time pad is one less than plain WRITE_IMM's: 12.  The two
-# receiver-side enqueues it avoids — the CQ-getter succeed that wakes
-# the parked poller and the poller's discovery timeout, both at t_rc —
-# are padded *at t_rc by the at_rc dispatch itself*, and only if the
-# receiver is still cleanly parked then (an interloping CQE may have
-# woken the poller mid-chain, in which case at_rc reverts to a real
-# push and the receiver events all happen — and count — for real).
-# Healthy fused total: 12 + 8 + 2 = 22 = plain 20 + wake + discovery.
-# Everything from the dispatch instant onward (handler wakeup, head
-# write, reply) is real code, identical in both modes: no pad.
-_FUSED_IMM_PAD = 12
+
+def _seq_budget(opcode, signaled, layer_pad, k=1):
+    """``_seq`` bumps a commit of ``k`` pieces owes (ledger above)."""
+    return k * (_SLOW_ENQUEUES[opcode] + signaled + layer_pad - 1)
 
 
 # Why an attempt fell back to the generator path (INTERNALS §13).  Every
@@ -208,8 +208,8 @@ class CostTable:
         "doorbell", "wqe_l", "ser0", "prop", "ack_ser", "rnic_ack",
         "completion_l", "completion_r", "srq_source", "srq_items",
         "_lparams", "_rparams", "_fparams", "_link_bw", "_sizes",
-        "_spans", "_phys", "_pregions", "_mem", "_plans",
-        "_rel_t2", "_rel_t3", "_rel_back", "_chain_end",
+        "_spans", "_phys", "_pregions", "_mem",
+        "_rel_t2", "_rel_t3", "_rel_back", "_acq_back", "_unsig_end",
     )
 
     def __init__(self, qp):
@@ -268,12 +268,13 @@ class CostTable:
         self._rparams = rparams
         self._fparams = fparams
         self._sizes = {}
-        # (rkey, addr, nbytes, need) → resolved span.  MR identity,
-        # bounds, access bits, and the page list are immutable for a
-        # live registration (deregistration bumps the remote RNIC's
-        # cost_version, stamped below, invalidating the whole table);
-        # the backing resolution carries the host allocator's free
-        # epoch and is revalidated with one compare per hit.
+        # (rkey, addr, nbytes, need) → (span, allocator version) for
+        # virtual MRs.  MR identity, bounds, access bits, and the page
+        # list are immutable for a live registration (deregistration
+        # bumps the remote RNIC's cost_version, stamped below,
+        # invalidating the whole table); the backing resolution carries
+        # the host allocator's free epoch and is revalidated with one
+        # compare per hit.
         self._spans = {}
         # rkey → (mr, base_addr, end_addr) for *physical* MRs (the LITE
         # global MR): identity and bounds are immutable for a live
@@ -291,20 +292,13 @@ class CostTable:
         # can never serve stale: free() flips the flag on the old object.
         self._pregions = {}
         self._mem = rnode.memory
-        # Vectorized multi-chunk plans registered against this table
-        # (see try_fast_post_vec): key → VecPlan.  Residency only — the
-        # table's stamp dropping (fence, dereg, param change) drops the
-        # registry; each use revalidates through mapping.plan_version
-        # and the per-piece backing epochs.
-        self._plans = {}
         # Receive-queue source for inbound WRITE_IMM, resolved lazily
         # and revalidated by identity per attempt.
         self.srq_source = None
         self.srq_items = None
-        # Shared dispatch callables: the t2/t3/ack-release bodies are
+        # Shared dispatch callables: the t2/t3/return-leg bodies are
         # identical for every commit on this table, so one instance
-        # each replaces a per-commit closure build (a measurable slice
-        # of the RPC tri-post chain's residual).
+        # each replaces a per-commit closure build.
         self._rel_t2 = self.lpipe.release
 
         def _rel_t3(rx=self.dst_rx.release, tx=self.src_tx.release):
@@ -318,7 +312,20 @@ class CostTable:
             tx()
 
         self._rel_back = _rel_back
-        self._chain_end = None
+
+        def _acq_back(tx=self.dst_tx, rx=self.src_rx):
+            # The return leg (ACK or READ response) takes the peer's
+            # egress and the home ingress at the responder-done instant.
+            if tx.in_use >= tx.capacity:
+                fp_stats.mismodels += 1
+            if rx.in_use >= rx.capacity:
+                fp_stats.mismodels += 1
+            tx.in_use += 1
+            rx.in_use += 1
+
+        self._acq_back = _acq_back
+        # (window, completion callable) of the last unsignaled commit.
+        self._unsig_end = None
         self.stamp = self._current_stamp()
         fp_stats.table_builds += 1
 
@@ -398,49 +405,18 @@ def prime_qp(qp) -> bool:
     return False
 
 
-def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
-    """Attempt run-to-completion execution of ``wr`` on ``qp``.
+# ---------------------------------------------------------------------------
+# Admission (shared by every entry)
+# ---------------------------------------------------------------------------
+def _admit(qp, window):
+    """Per-QP admission: the QP's valid CostTable, or None (declined).
 
-    Returns the completion event (``make_handle=True``; it succeeds with
-    the WcStatus at the op's completion instant), ``True`` on a
-    committed fire-and-forget op, or ``None`` when any entry condition
-    fails — in which case *no state has been touched* and the caller
-    must take the generator path.
-
-    ``window`` is the LITE per-QP window resource to hold for the op's
-    lifetime; ``extra_pad`` is the caller layer's avoided-enqueue count
-    (see the pad ledger above).
+    Checks what every entry needs of the (qp, window) pair it would
+    post on: a connected RC QP in RTS with no same-QP predecessor still
+    in flight, a free SQ slot and window slot, and a cost table toward a
+    live remote node.
     """
-    sim = qp.sim
-    fp_stats.attempts += 1
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return _decline("tracer")
-    # The commit gate: every completion below is >= now + doorbell, so
-    # a horizon at or before that instant dooms the op before any table
-    # or timeline work.  The horizon is reused for the final check.
-    horizon = sim.fp_clear_after(sim.now + qp.device.params.rnic_doorbell_us)
-    if horizon is None:
-        return _decline("gate")
-
-    opcode = wr.opcode
-    if opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
-        payload = wr.inline_data
-        if payload is None or wr.sgl:
-            return _decline("shape")
-        nbytes = len(payload)
-        if nbytes == 0:
-            return _decline("shape")
-    elif opcode is Opcode.READ:
-        if wr.sgl or wr.inline_data is not None:
-            return _decline("shape")
-        payload = None
-        nbytes = wr.read_length
-        if nbytes <= 0:
-            return _decline("shape")
-    else:
-        return _decline("shape")
-
-    if not qp._is_rc or qp.remote is None or wr.delivered is not None:
+    if not qp._is_rc or qp.remote is None:
         return _decline("shape")
     if qp.state != "RTS":
         return _decline("peer")
@@ -448,11 +424,8 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     if pred is not None and pred.callbacks is not None:
         return _decline("contention")
     sq = qp._sq_slots
-    if sq.in_use >= sq.capacity:
+    if sq.in_use >= sq.capacity or window.in_use >= window.capacity:
         return _decline("contention")
-    if window is not None and window.in_use >= window.capacity:
-        return _decline("contention")
-
     table = _table_for(qp)
     if table is None:
         return _decline("peer")
@@ -465,42 +438,42 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
     # decline.
     if table.rdev.node.crashed:
         return _decline("peer")
-    fabric = table.fabric
-    src_port = table.src_port
-    dst_port = table.dst_port
-    if not fabric.fp_path_clear(src_port, dst_port):
-        return _decline(_path_reason(fabric, src_port, dst_port))
-    src_tx = table.src_tx
-    dst_rx = table.dst_rx
-    dst_tx = table.dst_tx
-    src_rx = table.src_rx
-    lpipe = table.lpipe
-    rpipe = table.rpipe
-    if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return _decline("contention")
+    return table
 
-    # All SRAM lookups must hit, so every lookup cost is exactly 0.0 and
-    # the precomputed occupancies apply.  Probes are non-mutating; the
-    # hits are replayed (for LRU recency and stats) at commit below.
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    dst_qpn = table.dst_qpn
-    if not lrnic.qp_cache.contains(qp.qpn):
-        return _decline("sram")
-    if not rrnic.qp_cache.contains(dst_qpn):
-        return _decline("sram")
-    rkey = wr.rkey
-    if not rrnic.key_cache.contains(rkey):
-        return _decline("sram")
 
-    rdev = table.rdev
-    need = _NEED_REMOTE_READ if opcode is Opcode.READ else _NEED_REMOTE_WRITE
-    addr = wr.remote_addr
-    # Inline replay of rdev._resolve_remote.  Physical MRs (the LITE
-    # global MR — every RPC/ring address) see a fresh address on most
-    # posts, so the per-span memo would miss and churn; their immutable
-    # identity/bounds are cached per rkey instead and only the backing
-    # resolution (allocator-epoch dependent) runs per attempt.
+def _resolve_span(mrs_by_rkey, rkey, addr, nbytes, need):
+    """Replay ``rdev._resolve_remote``: (mr, span) or None (declined).
+
+    ``span`` is ``(pages, backing, reg_off)``: the PTE keys the remote
+    RNIC looks up (none for a physical MR), the backing region and the
+    offset into it.
+    """
+    mr = mrs_by_rkey.get(rkey)
+    if mr is None or mr.deregistered:
+        return _decline("peer")
+    base = mr.base_addr
+    if not (base <= addr and addr + nbytes <= base + mr.size):
+        return _decline("shape")
+    if not (mr._access_bits & need):
+        return _decline("shape")
+    offset = addr - base
+    try:
+        backing, reg_off = mr._backing(offset, nbytes)
+    except ValueError:
+        return _decline("shape")
+    pages = () if mr.physical else tuple(mr.page_ids(offset, nbytes))
+    return mr, (pages, backing, reg_off)
+
+
+def _span_for(table, rkey, addr, nbytes, need):
+    """``_resolve_span`` through the table's memos: span or None.
+
+    Physical MRs (the LITE global MR — every RPC/ring address) see a
+    fresh address on most posts, so a per-span memo would miss and
+    churn; their immutable identity/bounds are cached per rkey instead
+    and only the backing resolution (allocator-epoch dependent) runs
+    per attempt.
+    """
     phys = table._phys.get(rkey)
     if phys is not None:
         mr, base, end = phys
@@ -510,54 +483,96 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
             return _decline("shape")
         if not (mr._access_bits & need):
             return _decline("shape")
-        pages = ()
         preg = table._pregions.get(rkey)
         if (preg is not None and not preg[0].freed
                 and preg[1] <= addr and addr + nbytes <= preg[2]):
-            backing = preg[0]
-            reg_off = addr - preg[1]
-        else:
-            try:
-                backing, reg_off = mr._backing(addr - base, nbytes)
-            except ValueError:
-                return _decline("shape")
-            table._pregions[rkey] = (
-                backing, backing.addr, backing.addr + backing.size)
+            return (), preg[0], addr - preg[1]
+        try:
+            backing, reg_off = mr._backing(addr - base, nbytes)
+        except ValueError:
+            return _decline("shape")
+        table._pregions[rkey] = (
+            backing, backing.addr, backing.addr + backing.size)
+        return (), backing, reg_off
+    key = (rkey, addr, nbytes, need)
+    memo = table._spans.get(key)
+    if memo is not None and memo[1] == table._mem.version:
+        return memo[0]
+    resolved = _resolve_span(table.rdev.mrs_by_rkey, rkey, addr, nbytes, need)
+    if resolved is None:
+        return None
+    mr, span = resolved
+    if mr.physical:
+        table._phys[rkey] = (mr, mr.base_addr, mr.base_addr + mr.size)
     else:
-        span = table._spans.get((rkey, addr, nbytes, need))
-        if span is not None and span[3] == table._mem.version:
-            mr, offset, pages, _epoch, backing, reg_off = span
-        else:
-            mr = rdev.mrs_by_rkey.get(rkey)
-            if mr is None or mr.deregistered:
-                return _decline("peer")
-            base = mr.base_addr
-            if not (base <= addr and addr + nbytes <= base + mr.size):
-                return _decline("shape")
-            if not (mr._access_bits & need):
-                return _decline("shape")
-            offset = addr - base
-            try:
-                backing, reg_off = mr._backing(offset, nbytes)
-            except ValueError:
-                return _decline("shape")
-            if mr.physical:
-                pages = ()
-                table._phys[rkey] = (mr, base, base + mr.size)
-            else:
-                pages = tuple(mr.page_ids(offset, nbytes))
-                spans = table._spans
-                if len(spans) >= _MEMO_MAX:
-                    spans.clear()
-                spans[(rkey, addr, nbytes, need)] = (
-                    mr, offset, pages, table._mem.version, backing, reg_off,
-                )
-    if pages and not rrnic.pte_cache.contains_all(pages):
-        return _decline("sram")
+        spans = table._spans
+        if len(spans) >= _MEMO_MAX:
+            spans.clear()
+        spans[key] = (span, table._mem.version)
+    return span
 
-    rqp = srq_source = srq_items = None
-    fused_kernel = fcq = None
-    if opcode is Opcode.WRITE_IMM:
+
+def _admit_piece(qp, window, rkey, addr, nbytes, need):
+    """Scalar admission: (table, span), or None (declined).
+
+    ``_admit`` plus the path and both RNIC pipelines, every SRAM lookup
+    (all must hit, so every lookup cost is exactly 0.0 and the table's
+    occupancies apply; probes are non-mutating and the hits are
+    replayed at commit), and the remote span.
+    """
+    table = _admit(qp, window)
+    if table is None:
+        return None
+    fabric = table.fabric
+    src_port = table.src_port
+    dst_port = table.dst_port
+    if not fabric.fp_path_clear(src_port, dst_port):
+        return _decline(_path_reason(fabric, src_port, dst_port))
+    lpipe = table.lpipe
+    rpipe = table.rpipe
+    if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
+        return _decline("contention")
+    rrnic = table.rrnic
+    if (not table.lrnic.qp_cache.contains(qp.qpn)
+            or not rrnic.qp_cache.contains(table.dst_qpn)
+            or not rrnic.key_cache.contains(rkey)):
+        return _decline("sram")
+    span = _span_for(table, rkey, addr, nbytes, need)
+    if span is None:
+        return None
+    if span[0] and not rrnic.pte_cache.contains_all(span[0]):
+        return _decline("sram")
+    return table, span
+
+
+# ---------------------------------------------------------------------------
+# The scalar commit
+# ---------------------------------------------------------------------------
+def _commit_piece(table, window, opcode, rkey, span, nbytes, payload, imm,
+                  addr, wr, wr_id, horizon, layer_pad):
+    """Commit one admitted piece on ``table.qp``: RNIC → fabric → RNIC.
+
+    The only code that computes a single piece's timeline, replays its
+    counters and holds, and pushes its dispatches.  Signaled ops pass
+    the CQE's ``wr_id`` and get a handle that succeeds at completion
+    with WcStatus.SUCCESS — or, for a READ with no ``wr``, with the
+    bytes read (a given ``wr`` receives them in ``return_data``).
+    ``wr_id=None`` commits fire-and-forget and returns True.  A
+    WRITE_IMM (``imm``, into remote ``addr``) claims a receive and,
+    when eligible, fuses the receiver's poll iteration.  ``layer_pad``
+    is the entry's avoided LITE-layer enqueues (the _seq ledger).
+    Returns None, with nothing touched, when the receive side refuses
+    or an ordinary event is due by the op's tail.
+    """
+    qp = table.qp
+    sim = qp.sim
+    signaled = wr_id is not None
+    read_op = opcode is Opcode.READ
+    imm_op = opcode is Opcode.WRITE_IMM
+    dst_qpn = table.dst_qpn
+    srq_source = fused_kernel = fcq = None
+    if imm_op:
+        rdev = table.rdev
         rqp = table.rqp
         if rqp is None or rqp is not rdev.qps.get(dst_qpn):
             rqp = rdev.qps.get(dst_qpn)
@@ -582,466 +597,8 @@ def try_fast_post(qp, wr, window=None, extra_pad=0, make_handle=False):
         # the kernel's RPC gate accepts the immediate (bound ring,
         # in-bounds non-wrapping offset, live peer — the server-ring
         # geometry half of the cross-node stamp, checked live).  When
-        # ineligible the chain still commits in the one-sided shape:
-        # the CQE push wakes the poller for real.
-        imm = wr.imm
-        if imm is not None:
-            lite = rdev.node.lite
-            if (lite is not None and lite._poller is not None
-                    and lite.params.cq_poll_batch <= 1):
-                fcq = rqp.recv_cq
-                if fcq is not lite.recv_cq or fcq.fp_pending:
-                    fcq = None
-                else:
-                    cq_store = fcq._store
-                    if cq_store.items or len(cq_store._getters) != 1:
-                        fcq = None
-                    elif lite.fp_rpc_gate(imm, table.src_node,
-                                          wr.remote_addr):
-                        fused_kernel = lite
-                    else:
-                        fp_stats.ring_refusals += 1
-                        fcq = None
-
-    # ---- timeline (floats accumulated in the slow path's add order) ----
-    dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    t0 = sim.now
-    t1 = t0 + table.doorbell            # doorbell MMIO
-    if opcode is Opcode.READ:
-        t2 = t1 + table.wqe_l           # request WQE carries no payload
-        t3 = t2 + table.ser0
-    else:
-        t2 = t1 + dur_l                 # local lookups + payload DMA
-        t3 = t2 + ser                   # serialization out
-    t4 = t3 + table.prop                # propagation + switch
-    t5 = t4 + dur_r                     # remote lookups + DMA + memory op
-    signaled = wr.signaled
-    if opcode is Opcode.WRITE:
-        a1 = t5 + table.ack_ser
-        t7 = (a1 + table.prop) + table.rnic_ack
-        t_end = t7 + table.completion_l if signaled else t7
-    elif opcode is Opcode.WRITE_IMM:
-        t_rc = t5 + table.completion_r  # responder CQE write-back
-        a1 = t_rc + table.ack_ser
-        t7 = (a1 + table.prop) + table.rnic_ack
-        t_end = t7 + table.completion_l if signaled else t7
-        if fused_kernel is not None:
-            # Deferred kernel dispatch: the exact instant the poller's
-            # discovery delay would have elapsed after the CQE landed.
-            t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
-    else:  # READ
-        r1 = t5 + ser                   # response serialization
-        t6 = r1 + table.prop
-        t7 = t6 + dur_l                 # local scatter pass
-        t_end = t7 + table.completion_l if signaled else t7
-
-    # Nothing ordinary may be scheduled at or before completion: any
-    # such event could observe (or perturb) the op mid-flight.  A fused
-    # chain's horizon spans both hosts — it must also cover the remote
-    # dispatch instant (fp_horizon is already cluster-global: there is
-    # one engine, so "no ordinary event before the chain's tail" is a
-    # statement about every node at once).
-    t_guard = t_end
-    if fused_kernel is not None and t_disp > t_guard:
-        t_guard = t_disp
-    if horizon <= t_guard:
-        return _decline("gate")
-
-    # ---- commit ------------------------------------------------------
-    fp_stats.commits += 1
-    qp.posted_sends += 1
-    done = sim.event()
-    qp._last_remote_done = done
-    wr._order_done = done
-
-    # Cache-hit replay, in slow-path lookup order (LRU recency + stats).
-    lrnic.qp_cache.access(qp.qpn)
-    rrnic.qp_cache.access(dst_qpn)
-    rrnic.key_cache.access(rkey)
-    if pages:
-        rrnic.pte_cache.access_many(pages)
-    if opcode is Opcode.READ:
-        lrnic.qp_cache.access(qp.qpn)   # response scatter pass
-
-    # Counter replay (end-state equivalent; see module docstring).
-    if opcode is Opcode.READ:
-        lrnic.wqe_count += 2
-        lrnic.bytes_dma += nbytes
-        rrnic.wqe_count += 1
-        rrnic.bytes_dma += nbytes
-        out_bytes = _WIRE0
-        back_bytes = wire_n
-    else:
-        lrnic.wqe_count += 1
-        lrnic.bytes_dma += nbytes
-        rrnic.wqe_count += 1
-        rrnic.bytes_dma += nbytes
-        out_bytes = wire_n
-        back_bytes = ACK_BYTES
-    fabric.total_bytes += out_bytes + back_bytes
-    fabric.transfer_count += 2
-    src_port.tx_bytes += out_bytes
-    dst_port.rx_bytes += out_bytes
-    dst_port.tx_bytes += back_bytes
-    src_port.rx_bytes += back_bytes
-
-    # Real holds for the op's first phase (released at exact times by
-    # the dispatches below; the return-leg channels are acquired at the
-    # instant the slow path would request them).
-    sq.in_use += 1
-    if window is not None:
-        window.in_use += 1
-    lpipe.in_use += 1
-    rpipe.in_use += 1
-    src_tx.in_use += 1
-    dst_rx.in_use += 1
-    if srq_source is not None:
-        srq_source._fp_claims += 1
-    if fused_kernel is not None:
-        # One outstanding fused delivery per CQ: cleared by the at_disp
-        # dispatch; new fused commits decline while it is set.
-        fcq.fp_pending += 1
-
-    handle = sim.event() if make_handle else None
-    # fp_schedule inlined (this is the hottest dispatch source): the pad
-    # is applied first, then each push takes the next seq, exactly as a
-    # sim._seq bump followed by fp_schedule calls in program order.
-    core_pad = _CORE_PAD[opcode] if fused_kernel is None else _FUSED_IMM_PAD
-    seq = sim._seq + core_pad + (1 if signaled else 0) + extra_pad
-    fpq = sim._fpq
-
-    seq += 1
-    heappush(fpq, (t2, seq, table._rel_t2))
-    seq += 1
-    heappush(fpq, (t3, seq, table._rel_t3))
-
-    def at_end():
-        send_cq = qp.send_cq
-        if signaled and send_cq is not None:
-            send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id, status=WcStatus.SUCCESS, opcode=opcode,
-                byte_len=nbytes, imm=wr.imm, qp_num=qp.qpn,
-            ))
-        sq.release()
-        if window is not None:
-            window.release()
-        if handle is not None:
-            handle.succeed(WcStatus.SUCCESS)
-
-    if opcode is Opcode.WRITE:
-
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, payload)
-            except ValueError:
-                fp_stats.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                fp_stats.mismodels += 1
-            if src_rx.in_use >= src_rx.capacity:
-                fp_stats.mismodels += 1
-            dst_tx.in_use += 1
-            src_rx.in_use += 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    elif opcode is Opcode.WRITE_IMM:
-        box = []
-        src_node = table.src_node
-        imm = wr.imm
-
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, payload)
-            except ValueError:
-                fp_stats.mismodels += 1
-            if srq_items:
-                box.append(srq_items.popleft())
-            else:
-                fp_stats.mismodels += 1
-            srq_source._fp_claims -= 1
-
-        if fused_kernel is None:
-
-            def at_rc():
-                if box:
-                    recv_cq = rqp.recv_cq
-                    if recv_cq is not None:
-                        recv_cq.push(WorkCompletion(
-                            wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                            opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                            qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                        ))
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-        else:
-            # Fused delivery: the CQE bypasses the CQ store (the parked
-            # poller must not wake); its delivery counters are replayed
-            # at the push instant and at_disp hands it to the real
-            # kernel dispatch.  The bypass is re-validated at t_rc: an
-            # interloping CQE (e.g. a small op overtaking this one on
-            # the second RNIC pipeline unit) may have woken the poller
-            # mid-chain, in which case the slow path would have
-            # *appended* this CQE behind it — at_rc then reverts to a
-            # real push and every receiver event happens for real.
-            wcbox = []
-
-            def at_rc():
-                if box:
-                    wc = WorkCompletion(
-                        wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                        qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                    )
-                    fstore = fcq._store
-                    if len(fstore._getters) == 1 and not fstore.items:
-                        # Receiver still (or again) cleanly parked: the
-                        # slow path would consume the getter right now.
-                        # Replay the delivery counters, arm the bypass
-                        # window, and pad the two enqueues the slow
-                        # path performs at this instant (getter succeed
-                        # + the poller's discovery timeout).
-                        wc.completed_at = t_rc
-                        fcq.pushed += 1
-                        fcq.polled += 1
-                        fcq.fp_bypass = True
-                        sim._seq += 2
-                        wcbox.append(wc)
-                    else:
-                        # Poller is awake (or has a backlog): land in
-                        # the store exactly as the slow path would.
-                        fcq.push(wc)
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-            def at_disp():
-                if wcbox:
-                    # t_rc is passed through verbatim: the wait charge
-                    # must be computed as (t_rc - park), never via
-                    # sim.now - discover (float addition is not
-                    # associative; the slow path charges at t_rc).
-                    fused_kernel._fp_deliver(wcbox[0], t_rc)
-                else:
-                    # Reverted (or SRQ mismodel): the real machinery
-                    # owns delivery; just retire the commit claim.
-                    fcq.fp_pending -= 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (t_rc, seq, at_rc))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        if fused_kernel is not None:
-            seq += 1
-            heappush(fpq, (t_disp, seq, at_disp))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    else:  # READ
-        box = []
-
-        def at_mid():
-            rpipe.release()
-            try:
-                box.append(backing.read(reg_off, nbytes))
-            except ValueError:
-                box.append(b"")
-                fp_stats.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                fp_stats.mismodels += 1
-            if src_rx.in_use >= src_rx.capacity:
-                fp_stats.mismodels += 1
-            dst_tx.in_use += 1
-            src_rx.in_use += 1
-
-        def at_t6():
-            if lpipe.in_use >= lpipe.capacity:
-                fp_stats.mismodels += 1
-            lpipe.in_use += 1
-
-        def at_t7():
-            lpipe.release()
-            wr.return_data = box[0] if box else b""
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (r1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t6, seq, at_t6))
-        seq += 1
-        heappush(fpq, (t7, seq, at_t7))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    sim._seq = seq
-    return handle if make_handle else True
-
-
-def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
-    """Commit one leg of the RPC tri-post chain (raw unsignaled write).
-
-    Every RPC op issues three fire-and-forget posts through
-    ``raw_write_async``: the request append (WRITE_IMM into the server
-    ring), the server's head-pointer update (WRITE), and the reply
-    (WRITE_IMM into the caller's reply buffer).  Each leg used to pay
-    the full generic attempt — a SendWR allocation, the opcode
-    dispatch, and the signaled/CQE branches of :func:`try_fast_post`.
-    This entry checks the chain's conditions once per leg shape: the
-    per-(QP, ring) statics are certified through the CostTable stamp
-    system and the physical-MR memo (``_phys``/``_pregions``), and the
-    leg commits on the lean unsignaled inline timeline with no WR
-    object at all.  Returns True on commit; None leaves no state
-    touched — the caller then builds the WR and takes the generator
-    path, consuming the same wr_id the chain would have.
-    """
-    sim = engine.sim
-    fp_stats.chain_attempts += 1
-    if not sim.fastpath_enabled or sim.tracer is not None:
-        return _decline("tracer")
-    horizon = sim.fp_clear_after(sim.now + engine.params.rnic_doorbell_us)
-    if horizon is None:
-        return _decline("gate")
-    nbytes = len(data)
-    if nbytes == 0:
-        return _decline("shape")
-
-    kernel = engine.kernel
-    pairs = kernel.qos.eligible_qps(peer, priority)
-    qp, window = pairs[peer._rr % len(pairs)]
-    if not qp._is_rc or qp.remote is None:
-        return _decline("shape")
-    if qp.state != "RTS":
-        return _decline("peer")
-    pred = qp._last_remote_done
-    if pred is not None and pred.callbacks is not None:
-        return _decline("contention")
-    sq = qp._sq_slots
-    if sq.in_use >= sq.capacity:
-        return _decline("contention")
-    if window.in_use >= window.capacity:
-        return _decline("contention")
-
-    table = _table_for(qp)
-    if table is None:
-        return _decline("peer")
-    if table.src_node == table.dst_node:
-        return _decline("loopback")
-    if table.rdev.node.crashed:
-        return _decline("peer")
-    fabric = table.fabric
-    src_port = table.src_port
-    dst_port = table.dst_port
-    if not fabric.fp_path_clear(src_port, dst_port):
-        return _decline(_path_reason(fabric, src_port, dst_port))
-    src_tx = table.src_tx
-    dst_rx = table.dst_rx
-    dst_tx = table.dst_tx
-    src_rx = table.src_rx
-    lpipe = table.lpipe
-    rpipe = table.rpipe
-    if lpipe.in_use >= lpipe.capacity or rpipe.in_use >= rpipe.capacity:
-        return _decline("contention")
-
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    dst_qpn = table.dst_qpn
-    rkey = peer.global_rkey
-    # contains() inlined (pure membership; the LRU replay happens at
-    # commit via access()).
-    if (qp.qpn not in lrnic.qp_cache._entries
-            or dst_qpn not in rrnic.qp_cache._entries
-            or rkey not in rrnic.key_cache._entries):
-        return _decline("sram")
-
-    rdev = table.rdev
-    # Raw writes always target the peer's physical global MR, so after
-    # the first leg the identity/bounds come from the per-rkey memo and
-    # only the backing containment check runs per attempt.
-    phys = table._phys.get(rkey)
-    if phys is not None:
-        mr, base, end = phys
-        if mr.deregistered:
-            return _decline("peer")
-        if not (base <= addr and addr + nbytes <= end):
-            return _decline("shape")
-        if not (mr._access_bits & _NEED_REMOTE_WRITE):
-            return _decline("shape")
-        pages = ()
-        preg = table._pregions.get(rkey)
-        if (preg is not None and not preg[0].freed
-                and preg[1] <= addr and addr + nbytes <= preg[2]):
-            backing = preg[0]
-            reg_off = addr - preg[1]
-        else:
-            try:
-                backing, reg_off = mr._backing(addr - base, nbytes)
-            except ValueError:
-                return _decline("shape")
-            table._pregions[rkey] = (
-                backing, backing.addr, backing.addr + backing.size)
-    else:
-        mr = rdev.mrs_by_rkey.get(rkey)
-        if mr is None or mr.deregistered:
-            return _decline("peer")
-        base = mr.base_addr
-        if not (base <= addr and addr + nbytes <= base + mr.size):
-            return _decline("shape")
-        if not (mr._access_bits & _NEED_REMOTE_WRITE):
-            return _decline("shape")
-        try:
-            backing, reg_off = mr._backing(addr - base, nbytes)
-        except ValueError:
-            return _decline("shape")
-        if mr.physical:
-            pages = ()
-            table._phys[rkey] = (mr, base, base + mr.size)
-        else:
-            pages = tuple(mr.page_ids(addr - base, nbytes))
-    if pages and not rrnic.pte_cache.contains_all(pages):
-        return _decline("sram")
-
-    rqp = srq_source = srq_items = None
-    fused_kernel = fcq = None
-    if imm is not None:
-        rqp = table.rqp
-        if rqp is None or rqp is not rdev.qps.get(dst_qpn):
-            rqp = rdev.qps.get(dst_qpn)
-            table.rqp = rqp
-            if rqp is None:
-                return _decline("peer")
-        srq_source = rqp.srq if rqp.srq is not None else rqp._own_rq
-        if srq_source is not table.srq_source:
-            try:
-                srq_source._fp_claims
-            except AttributeError:
-                srq_source._fp_claims = 0
-            table.srq_source = srq_source
-            store = getattr(srq_source, "_store", srq_source)
-            table.srq_items = store.items
-        srq_items = table.srq_items
-        if len(srq_source) <= srq_source._fp_claims:
-            return _decline("contention")
+        # ineligible the op still commits in the one-sided shape: the
+        # CQE push wakes the poller for real.
         lite = rdev.node.lite
         if (lite is not None and lite._poller is not None
                 and lite.params.cq_poll_batch <= 1):
@@ -1058,123 +615,109 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
                     fp_stats.ring_refusals += 1
                     fcq = None
 
-    # ---- timeline (identical float-add order to try_fast_post) -------
+    # ---- timeline (floats accumulated in the slow path's add order) ----
     dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    t0 = sim.now
-    t1 = t0 + table.doorbell
-    t2 = t1 + dur_l
-    t3 = t2 + ser
-    t4 = t3 + table.prop
-    t5 = t4 + dur_r
-    if imm is None:
-        a1 = t5 + table.ack_ser
-        t_end = (a1 + table.prop) + table.rnic_ack
+    t1 = sim.now + table.doorbell       # doorbell MMIO
+    if read_op:
+        t2 = t1 + table.wqe_l           # request WQE carries no payload
+        t3 = t2 + table.ser0
     else:
-        t_rc = t5 + table.completion_r
+        t2 = t1 + dur_l                 # local lookups + payload DMA
+        t3 = t2 + ser                   # serialization out
+    t4 = t3 + table.prop                # propagation + switch
+    t5 = t4 + dur_r                     # remote lookups + DMA + memory op
+    if read_op:
+        r1 = t5 + ser                   # response serialization
+        t6 = r1 + table.prop
+        t7 = t6 + dur_l                 # local scatter pass
+    else:
+        # A WRITE_IMM's ACK leaves after the responder's CQE write-back.
+        t_rc = t5 + table.completion_r if imm_op else t5
         a1 = t_rc + table.ack_ser
-        t_end = (a1 + table.prop) + table.rnic_ack
-        if fused_kernel is not None:
-            t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
+        t7 = (a1 + table.prop) + table.rnic_ack
+    t_end = t7 + table.completion_l if signaled else t7
+
+    # Nothing ordinary may be scheduled at or before completion: any
+    # such event could observe (or perturb) the op mid-flight.  A fused
+    # chain's horizon spans both hosts — it must also cover the remote
+    # dispatch instant, the exact instant the poller's discovery delay
+    # would have elapsed after the CQE landed (fp_horizon is already
+    # cluster-global: there is one engine).
     t_guard = t_end
-    if fused_kernel is not None and t_disp > t_guard:
-        t_guard = t_disp
+    if fused_kernel is not None:
+        t_disp = t_rc + fused_kernel.params.poll_loop_us / 2
+        if t_disp > t_guard:
+            t_guard = t_disp
     if horizon <= t_guard:
         return _decline("gate")
 
     # ---- commit ------------------------------------------------------
-    fp_stats.chain_commits += 1
     qp.posted_sends += 1
     done = sim.event()
     qp._last_remote_done = done
-    # The slow path allocates a SendWR before the attempt; keep the
-    # process-global id counter aligned (its CQE never exists: every
-    # chain leg is unsignaled).
-    SendWR._next_id += 1
 
+    # Cache-hit replay, in slow-path lookup order (LRU recency + stats).
+    lrnic = table.lrnic
+    rrnic = table.rrnic
+    pages, backing, reg_off = span
     lrnic.qp_cache.access(qp.qpn)
     rrnic.qp_cache.access(dst_qpn)
     rrnic.key_cache.access(rkey)
     if pages:
         rrnic.pte_cache.access_many(pages)
 
-    lrnic.wqe_count += 1
+    # Counter replay (end-state equivalent; see module docstring).
+    if read_op:
+        lrnic.qp_cache.access(qp.qpn)   # response scatter pass
+        lrnic.wqe_count += 2
+        out_bytes = _WIRE0
+        back_bytes = wire_n
+    else:
+        lrnic.wqe_count += 1
+        out_bytes = wire_n
+        back_bytes = ACK_BYTES
     lrnic.bytes_dma += nbytes
     rrnic.wqe_count += 1
     rrnic.bytes_dma += nbytes
-    fabric.total_bytes += wire_n + ACK_BYTES
-    fabric.transfer_count += 2
-    src_port.tx_bytes += wire_n
-    dst_port.rx_bytes += wire_n
-    dst_port.tx_bytes += ACK_BYTES
-    src_port.rx_bytes += ACK_BYTES
+    table.fabric.total_bytes += out_bytes + back_bytes
+    table.fabric.transfer_count += 2
+    src_port = table.src_port
+    dst_port = table.dst_port
+    src_port.tx_bytes += out_bytes
+    dst_port.rx_bytes += out_bytes
+    dst_port.tx_bytes += back_bytes
+    src_port.rx_bytes += back_bytes
 
+    # Real holds for the op's first phase (released at exact times by
+    # the dispatches below; the return-leg channels are acquired at the
+    # instant the slow path would request them).
+    sq = qp._sq_slots
+    lpipe = table.lpipe
+    rpipe = table.rpipe
     sq.in_use += 1
     window.in_use += 1
     lpipe.in_use += 1
     rpipe.in_use += 1
-    src_tx.in_use += 1
-    dst_rx.in_use += 1
-    if srq_source is not None:
+    table.src_tx.in_use += 1
+    table.dst_rx.in_use += 1
+    if imm_op:
         srq_source._fp_claims += 1
     if fused_kernel is not None:
+        # One outstanding fused delivery per CQ: cleared by the at_disp
+        # dispatch; new fused commits decline while it is set.
         fcq.fp_pending += 1
-    peer._rr += 1
-    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
 
-    if imm is None:
-        core_pad = _CORE_PAD_WRITE
-    elif fused_kernel is None:
-        core_pad = _CORE_PAD_WRITE_IMM
-    else:
-        core_pad = _FUSED_IMM_PAD
-    seq = sim._seq + core_pad + extra_pad
-    fpq = sim._fpq
+    # ---- dispatches --------------------------------------------------
+    acq_back = table._acq_back
+    box = []
 
-    seq += 1
-    heappush(fpq, (t2, seq, table._rel_t2))
-    seq += 1
-    heappush(fpq, (t3, seq, table._rel_t3))
-
-    # The completion release pair is identical for every chain leg on
-    # this (QP, window); build it once.
-    ce = table._chain_end
-    if ce is None or ce[0] is not window:
-        def _end(sqr=sq.release, wrel=window.release):
-            sqr()
-            wrel()
-        table._chain_end = ce = (window, _end)
-    at_end = ce[1]
-
-    if imm is None:
-
-        def at_mid():
-            rpipe.release()
-            try:
-                backing.write(reg_off, data)
-            except ValueError:
-                fp_stats.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                fp_stats.mismodels += 1
-            if src_rx.in_use >= src_rx.capacity:
-                fp_stats.mismodels += 1
-            dst_tx.in_use += 1
-            src_rx.in_use += 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-    else:
-        box = []
+    if imm_op:
         src_node = table.src_node
 
         def at_mid():
             rpipe.release()
             try:
-                backing.write(reg_off, data)
+                backing.write(reg_off, payload)
             except ValueError:
                 fp_stats.mismodels += 1
             if srq_items:
@@ -1183,72 +726,248 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
                 fp_stats.mismodels += 1
             srq_source._fp_claims -= 1
 
-        if fused_kernel is None:
+        # A fused CQE bypasses the CQ store (the parked poller must not
+        # wake); its delivery counters are replayed at the push instant
+        # and at_disp hands it to the real kernel dispatch.  The bypass
+        # is re-validated at t_rc: an interloping CQE (e.g. a small op
+        # overtaking this one on the second RNIC pipeline unit) may have
+        # woken the poller mid-chain, in which case the slow path would
+        # have *appended* this CQE behind it — at_rc then reverts to a
+        # real push and every receiver event happens for real.
+        wcbox = []
 
-            def at_rc():
-                if box:
+        def at_rc():
+            if box:
+                wc = WorkCompletion(
+                    wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
+                    opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
+                    qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
+                )
+                if fcq is None:
                     recv_cq = rqp.recv_cq
                     if recv_cq is not None:
-                        recv_cq.push(WorkCompletion(
-                            wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                            opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                            qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                        ))
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-        else:
-            wcbox = []
-
-            def at_rc():
-                if box:
-                    wc = WorkCompletion(
-                        wr_id=box[0].wr_id, status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV_IMM, byte_len=nbytes, imm=imm,
-                        qp_num=dst_qpn, src_node=src_node, src_qpn=qp.qpn,
-                    )
-                    fstore = fcq._store
-                    if len(fstore._getters) == 1 and not fstore.items:
-                        wc.completed_at = t_rc
-                        fcq.pushed += 1
-                        fcq.polled += 1
-                        fcq.fp_bypass = True
-                        sim._seq += 2
-                        wcbox.append(wc)
-                    else:
-                        fcq.push(wc)
-                done.succeed()
-                if dst_tx.in_use >= dst_tx.capacity:
-                    fp_stats.mismodels += 1
-                if src_rx.in_use >= src_rx.capacity:
-                    fp_stats.mismodels += 1
-                dst_tx.in_use += 1
-                src_rx.in_use += 1
-
-            def at_disp():
-                if wcbox:
-                    fused_kernel._fp_deliver(wcbox[0], t_rc)
+                        recv_cq.push(wc)
+                elif len(fcq._store._getters) == 1 and not fcq._store.items:
+                    # Receiver still (or again) cleanly parked: the slow
+                    # path would consume the getter right now.  Replay
+                    # the delivery counters, arm the bypass window, and
+                    # pad the two enqueues the slow path performs at
+                    # this instant (getter succeed + the poller's
+                    # discovery timeout).
+                    wc.completed_at = t_rc
+                    fcq.pushed += 1
+                    fcq.polled += 1
+                    fcq.fp_bypass = True
+                    sim._seq += 2
+                    wcbox.append(wc)
                 else:
-                    fcq.fp_pending -= 1
+                    # Poller is awake (or has a backlog): land in the
+                    # store exactly as the slow path would.
+                    fcq.push(wc)
+            done.succeed()
+            acq_back()
 
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (t_rc, seq, at_rc))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
+        def at_disp():
+            if wcbox:
+                # t_rc is passed through verbatim: the wait charge must
+                # be computed as (t_rc - park), never via sim.now -
+                # discover (float addition is not associative; the slow
+                # path charges at t_rc).
+                fused_kernel._fp_deliver(wcbox[0], t_rc)
+            else:
+                # Reverted (or SRQ mismodel): the real machinery owns
+                # delivery; just retire the commit claim.
+                fcq.fp_pending -= 1
+
+    else:
+
+        def at_mid():
+            rpipe.release()
+            try:
+                if read_op:
+                    box.append(backing.read(reg_off, nbytes))
+                else:
+                    backing.write(reg_off, payload)
+            except ValueError:
+                fp_stats.mismodels += 1
+            done.succeed()
+            acq_back()
+
+    if signaled:
+        handle = sim.event()
+        value_is_data = read_op and wr is None
+
+        def at_end():
+            send_cq = qp.send_cq
+            if send_cq is not None:
+                send_cq.push(WorkCompletion(
+                    wr_id=wr_id, status=WcStatus.SUCCESS, opcode=opcode,
+                    byte_len=nbytes, imm=imm, qp_num=qp.qpn,
+                ))
+            sq.release()
+            window.release()
+            if value_is_data:
+                handle.succeed(box[0] if box else b"")
+            else:
+                handle.succeed(WcStatus.SUCCESS)
+    else:
+        # The unsignaled completion only releases the SQ and window
+        # slots: one callable per (QP, window), rebuilt on a change.
+        ue = table._unsig_end
+        if ue is None or ue[0] is not window:
+            def _end(sqr=sq.release, wrel=window.release):
+                sqr()
+                wrel()
+            table._unsig_end = ue = (window, _end)
+        at_end = ue[1]
+
+    acts = [(t2, table._rel_t2), (t3, table._rel_t3), (t5, at_mid)]
+    if read_op:
+
+        def at_t6():
+            if lpipe.in_use >= lpipe.capacity:
+                fp_stats.mismodels += 1
+            lpipe.in_use += 1
+
+        def at_t7():
+            lpipe.release()
+            if wr is not None:
+                wr.return_data = box[0] if box else b""
+
+        acts += ((r1, table._rel_back), (t6, at_t6), (t7, at_t7))
+    else:
+        if imm_op:
+            acts.append((t_rc, at_rc))
+        acts.append((a1, table._rel_back))
         if fused_kernel is not None:
-            seq += 1
-            heappush(fpq, (t_disp, seq, at_disp))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
+            acts.append((t_disp, at_disp))
+    acts.append((t_end, at_end))
 
+    # fp_schedule inlined (this is the hottest dispatch source): the pad
+    # is applied first, then each push takes the next seq, exactly as a
+    # sim._seq bump followed by fp_schedule calls in program order.
+    seq = sim._seq + _seq_budget(opcode, signaled, layer_pad) - len(acts)
+    fpq = sim._fpq
+    for t, fn in acts:
+        seq += 1
+        heappush(fpq, (t, seq, fn))
     sim._seq = seq
+    return handle if signaled else True
+
+
+# ---------------------------------------------------------------------------
+# Scalar entries
+# ---------------------------------------------------------------------------
+# Avoided LITE-layer enqueues per piece, by entry (the _seq ledger):
+# the per-piece path's _post runner boot + window grant (its handle
+# stands in for the runner's completion) ...
+_PIECE_LAYER_PAD = 2
+# ... raw_write_async's runner boot + window grant + runner completion ...
+_CHAIN_LAYER_PAD = 3
+# ... and the vec path's runner boot + window grant + runner completion
+# per piece (its handle stands in for the all_of barrier's succeed).
+_VEC_LAYER_PAD = 3
+
+
+def try_fast_post(qp, wr, window):
+    """Attempt run-to-completion execution of one LT_read/LT_write piece.
+
+    ``wr`` is a signaled inline WRITE or a signaled READ; ``window`` is
+    the LITE per-QP window resource held for the op's lifetime.
+    Returns the completion event — it succeeds with WcStatus.SUCCESS at
+    the op's completion instant, a READ's bytes already in
+    ``wr.return_data`` — or None when any entry condition fails, in
+    which case *no state has been touched* and the caller must take the
+    generator path.
+    """
+    sim = qp.sim
+    fp_stats.attempts += 1
+    if not sim.fastpath_enabled or sim.tracer is not None:
+        return _decline("tracer")
+    # The commit gate: every completion is >= now + doorbell, so a
+    # horizon at or before that instant dooms the op before any table
+    # or timeline work.  The horizon is reused for the final check.
+    horizon = sim.fp_clear_after(sim.now + qp.device.params.rnic_doorbell_us)
+    if horizon is None:
+        return _decline("gate")
+
+    opcode = wr.opcode
+    if opcode is Opcode.WRITE:
+        payload = wr.inline_data
+        if payload is None:
+            return _decline("shape")
+        nbytes = len(payload)
+        need = _NEED_REMOTE_WRITE
+    elif opcode is Opcode.READ:
+        if wr.inline_data is not None:
+            return _decline("shape")
+        payload = None
+        nbytes = wr.read_length
+        need = _NEED_REMOTE_READ
+    else:
+        return _decline("shape")
+    if (nbytes <= 0 or wr.sgl or not wr.signaled
+            or wr.delivered is not None):
+        return _decline("shape")
+
+    rkey = wr.rkey
+    admitted = _admit_piece(qp, window, rkey, wr.remote_addr, nbytes, need)
+    if admitted is None:
+        return None
+    table, span = admitted
+    handle = _commit_piece(table, window, opcode, rkey, span, nbytes,
+                           payload, None, None, wr, wr.wr_id, horizon,
+                           _PIECE_LAYER_PAD)
+    if handle is not None:
+        fp_stats.commits += 1
+    return handle
+
+
+def try_fast_chain(engine, peer, addr, data, imm, priority):
+    """Commit one leg of the RPC tri-post chain (raw unsignaled write).
+
+    Every RPC op issues three fire-and-forget posts through
+    ``raw_write_async``: the request append (WRITE_IMM into the server
+    ring), the server's head-pointer update (WRITE), and the reply
+    (WRITE_IMM into the caller's reply buffer).  This entry commits a
+    leg with no WR object at all: it peeks the (qp, window) pair the
+    slow path would round-robin onto and targets the peer's physical
+    global MR, whose statics come from the cost table's memos.  Returns
+    True on commit; None leaves no state touched — the caller then
+    builds the WR and takes the generator path, consuming the same
+    wr_id the chain would have.
+    """
+    sim = engine.sim
+    fp_stats.chain_attempts += 1
+    if not sim.fastpath_enabled or sim.tracer is not None:
+        return _decline("tracer")
+    horizon = sim.fp_clear_after(sim.now + engine.params.rnic_doorbell_us)
+    if horizon is None:
+        return _decline("gate")
+    nbytes = len(data)
+    if nbytes == 0:
+        return _decline("shape")
+
+    kernel = engine.kernel
+    pairs = kernel.qos.eligible_qps(peer, priority)
+    qp, window = pairs[peer._rr % len(pairs)]
+    rkey = peer.global_rkey
+    admitted = _admit_piece(qp, window, rkey, addr, nbytes,
+                            _NEED_REMOTE_WRITE)
+    if admitted is None:
+        return None
+    table, span = admitted
+    opcode = Opcode.WRITE if imm is None else Opcode.WRITE_IMM
+    if _commit_piece(table, window, opcode, rkey, span, nbytes, data, imm,
+                     addr, None, None, horizon, _CHAIN_LAYER_PAD) is None:
+        return None
+    fp_stats.chain_commits += 1
+    # The slow path allocates a SendWR before the attempt; keep the
+    # process-global id counter aligned (its CQE never exists: every
+    # chain leg is unsignaled).
+    SendWR._next_id += 1
+    peer._rr += 1
+    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
     return True
 
 
@@ -1257,13 +976,13 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
 # ---------------------------------------------------------------------------
 #
 # A multi-chunk LMR op fans out into one RDMA op per touched chunk.  The
-# per-piece fast path above already collapses each piece, but the caller
+# per-piece entry above already collapses each piece, but the caller
 # still pays one attempt (entry checks, span resolution, WR allocation)
 # per piece per op plus an all_of barrier.  ``try_fast_post_vec``
 # commits the *entire* ``MappedLmr.plan()`` fan-out as one arithmetic
 # pass: the piece geometry and backing resolution are memoised per
-# (offset, len, kind) on the mapping (``mapping._fp_plans``, registered
-# in the first piece's CostTable for residency), and the k-piece
+# (offset, len, kind) on the mapping (``mapping._fp_plans``).  A
+# single-piece plan commits through ``_commit_piece``; for k > 1 the
 # timeline — local-pipeline FIFO, the shared egress-link serialization
 # chain, per-peer ingress/ACK chains, the global return-link chain — is
 # solved closed-form in the slow path's float-add order.
@@ -1285,16 +1004,6 @@ def try_fast_chain(engine, peer, addr, data, imm, priority, extra_pad=3):
 # ``backing.freed`` flags, and the per-QP CostTable stamps (params,
 # RNIC cost_version).  ``Node.fastpath_fence`` additionally clears all
 # plan memos cluster-wide.
-
-# Slow-path enqueues per remote piece, counted from the LITE layer's
-# _post() (boot + instant window grant + completion) through the verbs
-# core (see the _CORE_PAD ledger: WRITE 18, READ 19 real slow enqueues)
-# plus the signaled completion timeout:
-#   WRITE: 1 + 1 + 18 + 1 + 1 = 22      READ: 1 + 1 + 19 + 1 + 1 = 23
-# plus one all_of-condition succeed per *op*.  The vec commit's real
-# enqueues are its dispatches + k order-done succeeds + the handle
-# succeed; the pad is the difference, computed per commit.
-_VEC_SLOW_PIECE = {Opcode.WRITE: 22, Opcode.READ: 23}
 
 
 class _VecPiece:
@@ -1351,19 +1060,11 @@ def _build_vec_plan(kernel, mapping, offset, nbytes, opcode):
             remote_addr, rkey = chunk.va + chunk_off, chunk.rkey
         else:
             remote_addr, rkey = chunk.addr + chunk_off, peer.global_rkey
-        mr = rnode.device.mrs_by_rkey.get(rkey)
-        if mr is None or mr.deregistered:
-            return _decline("peer")
-        base = mr.base_addr
-        if not (base <= remote_addr
-                and remote_addr + piece_len <= base + mr.size):
-            return _decline("shape")
-        if not (mr._access_bits & need):
-            return _decline("shape")
-        try:
-            backing, reg_off = mr._backing(remote_addr - base, piece_len)
-        except ValueError:
-            return _decline("shape")
+        resolved = _resolve_span(rnode.device.mrs_by_rkey, rkey,
+                                 remote_addr, piece_len, need)
+        if resolved is None:
+            return None
+        mr, (pages, backing, reg_off) = resolved
         piece = _VecPiece()
         piece.dst_node = chunk.node_id
         piece.remote_addr = remote_addr
@@ -1371,8 +1072,7 @@ def _build_vec_plan(kernel, mapping, offset, nbytes, opcode):
         piece.nbytes = piece_len
         piece.buf_off = buf_off
         piece.mr = mr
-        piece.pages = (() if mr.physical
-                       else tuple(mr.page_ids(remote_addr - base, piece_len)))
+        piece.pages = pages
         piece.backing = backing
         piece.reg_off = reg_off
         per_peer.setdefault(chunk.node_id, []).append(len(pieces))
@@ -1483,179 +1183,6 @@ def _vec_pipe_pass(order, t_req, dur, cap):
     return grant, end, fresh, rel_real
 
 
-def _vec_commit_single(engine, sim, kernel, mapping, key, plan, p, qp,
-                       window, table, peer, payload, read_op, opcode,
-                       t0, t1, horizon):
-    """Commit a validated single-piece plan (k == 1) straight-line.
-
-    The general chain solvers collapse to a linear float chain at
-    k == 1; this specialization emits exactly the dispatches the
-    general path would after its sort — the same instants, the same
-    same-instant order, the same pad — without building the per-piece
-    arrays, solving the FIFO chains, or sorting an action list.
-    """
-    nbytes = p.nbytes
-    dur_l, dur_r, ser, wire_n = table.size_costs(nbytes)
-    if read_op:
-        t2 = t1 + table.wqe_l
-        t3 = t2 + table.ser0
-    else:
-        t2 = t1 + dur_l
-        t3 = t2 + ser
-    t4 = t3 + table.prop
-    t5 = t4 + dur_r
-    if read_op:
-        r1 = t5 + ser
-        t6 = r1 + table.prop
-        t7 = t6 + dur_l
-        t_end = t7 + table.completion_l
-    else:
-        a1 = t5 + table.ack_ser
-        t_end = ((a1 + table.prop) + table.rnic_ack) + table.completion_l
-    if horizon <= t_end:
-        return _decline("gate")
-
-    # ---- commit (state mutations in the general path's order) --------
-    fp_stats.vec_commits += 1
-    treg = table._plans
-    if len(treg) >= _MEMO_MAX:
-        treg.clear()
-    treg[(id(mapping),) + key] = plan
-    qp.posted_sends += 1
-    done = sim.event()
-    qp._last_remote_done = done
-    kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
-    peer._rr += 1
-    wr_id = SendWR._next_id + 1
-    SendWR._next_id = wr_id
-
-    lrnic = table.lrnic
-    rrnic = table.rrnic
-    lrnic.qp_cache.access(qp.qpn)
-    rrnic.qp_cache.access(table.dst_qpn)
-    rrnic.key_cache.access(p.rkey)
-    if p.pages:
-        rrnic.pte_cache.access_many(p.pages)
-    if read_op:
-        lrnic.qp_cache.access(qp.qpn)
-        lrnic.wqe_count += 2
-        out_b, back_b = _WIRE0, wire_n
-    else:
-        lrnic.wqe_count += 1
-        out_b, back_b = wire_n, ACK_BYTES
-    lrnic.bytes_dma += nbytes
-    rrnic.wqe_count += 1
-    rrnic.bytes_dma += nbytes
-    fabric = table.fabric
-    fabric.total_bytes += out_b + back_b
-    fabric.transfer_count += 2
-    src_port = table.src_port
-    dst_port = table.dst_port
-    src_port.tx_bytes += out_b
-    src_port.rx_bytes += back_b
-    dst_port.rx_bytes += out_b
-    dst_port.tx_bytes += back_b
-
-    lpipe = table.lpipe
-    rpipe = table.rpipe
-    src_tx = table.src_tx
-    src_rx = table.src_rx
-    dst_tx = table.dst_tx
-    dst_rx = table.dst_rx
-    lpipe.in_use += 1
-    src_tx.in_use += 1
-    dst_rx.in_use += 1
-    rpipe.in_use += 1
-    qp._sq_slots.in_use += 1
-    window.in_use += 1
-
-    handle = sim.event()
-    guard = fp_stats
-    pad = _VEC_SLOW_PIECE[opcode] + 1 - ((7 if read_op else 5) + 2)
-    seq = sim._seq + pad
-    fpq = sim._fpq
-
-    seq += 1
-    heappush(fpq, (t2, seq, table._rel_t2))
-    seq += 1
-    heappush(fpq, (t3, seq, table._rel_t3))
-
-    def at_end():
-        send_cq = qp.send_cq
-        if send_cq is not None:
-            send_cq.push(WorkCompletion(
-                wr_id=wr_id, status=WcStatus.SUCCESS, opcode=opcode,
-                byte_len=nbytes, imm=None, qp_num=qp.qpn,
-            ))
-        qp._sq_slots.release()
-        window.release()
-        if read_op:
-            handle.succeed(box[0] if box else b"")
-        else:
-            handle.succeed(WcStatus.SUCCESS)
-
-    if read_op:
-        box = []
-
-        def at_mid():
-            rpipe.release()
-            try:
-                box.append(p.backing.read(p.reg_off, nbytes))
-            except ValueError:
-                guard.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                guard.mismodels += 1
-            dst_tx.in_use += 1
-            if src_rx.in_use >= src_rx.capacity:
-                guard.mismodels += 1
-            src_rx.in_use += 1
-
-        def at_t6():
-            if lpipe.in_use >= lpipe.capacity:
-                guard.mismodels += 1
-            lpipe.in_use += 1
-
-        def at_t7():
-            lpipe.release()
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (r1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t6, seq, at_t6))
-        seq += 1
-        heappush(fpq, (t7, seq, at_t7))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-    else:
-
-        def at_mid():
-            rpipe.release()
-            try:
-                p.backing.write(p.reg_off, payload)
-            except ValueError:
-                guard.mismodels += 1
-            done.succeed()
-            if dst_tx.in_use >= dst_tx.capacity:
-                guard.mismodels += 1
-            dst_tx.in_use += 1
-            if src_rx.in_use >= src_rx.capacity:
-                guard.mismodels += 1
-            src_rx.in_use += 1
-
-        seq += 1
-        heappush(fpq, (t5, seq, at_mid))
-        seq += 1
-        heappush(fpq, (a1, seq, table._rel_back))
-        seq += 1
-        heappush(fpq, (t_end, seq, at_end))
-
-    sim._seq = seq
-    return handle
-
-
 def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
                       priority):
     """Commit a whole multi-chunk fan-out as one arithmetic pass.
@@ -1719,24 +1246,10 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
         first_table = None
         for j, i in enumerate(idxs):
             qp, window = pairs[(rr + j) % npairs]
-            if not qp._is_rc or qp.remote is None:
-                return _decline("shape")
-            if qp.state != "RTS":
-                return _decline("peer")
-            pred = qp._last_remote_done
-            if pred is not None and pred.callbacks is not None:
-                return _decline("contention")
-            sq = qp._sq_slots
-            if sq.in_use >= sq.capacity:
-                return _decline("contention")
-            if window.in_use >= window.capacity:
-                return _decline("contention")
-            table = _table_for(qp)
+            table = _admit(qp, window)
             if table is None:
-                return _decline("peer")
-            if table.src_node == table.dst_node:
-                return _decline("loopback")
-            if table.dst_node != peer.node_id or table.rdev.node.crashed:
+                return None
+            if table.dst_node != peer.node_id:
                 return _decline("peer")
             qps[i] = qp
             windows[i] = window
@@ -1780,6 +1293,24 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
             except ValueError:
                 return _decline("shape")
 
+    if k == 1:
+        # Single-piece plan: the chains are trivial, so the piece takes
+        # the scalar commit — the win over the per-piece path is the
+        # memoised plan (no WR allocation, no span re-resolution, no
+        # all_of barrier).
+        p = pieces[0]
+        wr_id = SendWR._next_id + 1
+        handle = _commit_piece(
+            tables[0], windows[0], opcode, p.rkey,
+            (p.pages, p.backing, p.reg_off), p.nbytes, payload, None, None,
+            None, wr_id, horizon, _VEC_LAYER_PAD)
+        if handle is not None:
+            fp_stats.vec_commits += 1
+            SendWR._next_id = wr_id
+            peer_objs[0]._rr += 1
+            kernel.node.cpu.charge("lite-post", engine.params.rnic_doorbell_us)
+        return handle
+
     # ---- timeline (slow path's float-add order throughout) -----------
     t0 = sim.now
     table0 = tables[0]
@@ -1787,16 +1318,6 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
     prop = table0.prop
     t1 = t0 + doorbell
     read_op = opcode is Opcode.READ
-    if k == 1:
-        # Single-piece plan: the chains are trivial, so skip the
-        # general solvers and run the same straight-line arithmetic as
-        # try_fast_post — the win over the per-piece path is the
-        # memoised plan (no WR allocation, no span re-resolution, no
-        # all_of barrier).
-        return _vec_commit_single(
-            engine, sim, kernel, mapping, key, plan, pieces[0], qps[0],
-            windows[0], table0, peer_objs[0], payload, read_op, opcode,
-            t0, t1, horizon)
     dur_l = [0.0] * k
     dur_r = [0.0] * k
     ser = [0.0] * k
@@ -1875,14 +1396,6 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
 
     # ---- commit ------------------------------------------------------
     fp_stats.vec_commits += 1
-    # Register the plan against the first piece's CostTable: a fence
-    # that rotates the table garbage-collects this registry, and the
-    # mapping-side reference above revalidates through plan_version and
-    # the per-piece liveness flags either way.
-    treg = tables[0]._plans
-    if len(treg) >= _MEMO_MAX:
-        treg.clear()
-    treg[(id(mapping),) + key] = plan
     params = engine.params
     cpu = kernel.node.cpu
     fabric = table0.fabric
@@ -2069,14 +1582,14 @@ def try_fast_post_vec(engine, mapping, offset, nbytes, payload, opcode,
             window.release()
             if is_last:
                 if read_op:
-                    handle.succeed(parts[0] if k == 1 else b"".join(parts))
+                    handle.succeed(b"".join(parts))
                 else:
                     handle.succeed(WcStatus.SUCCESS)
         add((t_end[i], _end))
 
     actions.sort(key=lambda a: a[0])
-    pad = _VEC_SLOW_PIECE[opcode] * k + 1 - (len(actions) + k + 1)
-    seq = sim._seq + pad
+    seq = (sim._seq + _seq_budget(opcode, True, _VEC_LAYER_PAD, k)
+           - len(actions))
     fpq = sim._fpq
     for t, fn in actions:
         seq += 1

@@ -37,7 +37,7 @@ from repro.stats import snapshot
 from repro.verbs import Access, fastpath
 from repro.verbs.fastpath import CostTable, fp_stats, prime_qp, try_fast_post
 
-from tests.test_fastpath_vec import _run_vec_workload
+from tests.test_fastpath_vec import _run_vec_workload, record_commit_shapes
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def _with_fastpath(enabled):
         os.environ["REPRO_NO_FASTPATH"] = "1"
 
 
-def _run_workload(seed: int, fastpath: bool, faults: bool):
+def _run_workload(seed: int, fastpath: bool, faults: bool, params=None):
     """One randomized mixed workload; returns the end-state observables."""
     saved = os.environ.get("REPRO_NO_FASTPATH")
     _with_fastpath(fastpath)
@@ -60,7 +60,7 @@ def _run_workload(seed: int, fastpath: bool, faults: bool):
     # slow runs see byte-identical wire traffic.
     reset_global_counters()
     try:
-        cluster = Cluster(3)
+        cluster = Cluster(3, params=params)
         kernels = lite_boot(cluster)
         if faults:
             plan = FaultPlan.random(
@@ -127,9 +127,39 @@ def _run_workload(seed: int, fastpath: bool, faults: bool):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [7, 23, 91])
 @pytest.mark.parametrize("faults", [False, True])
-def test_fastpath_equivalence_randomized(seed, faults):
+def test_fastpath_equivalence_randomized(monkeypatch, seed, faults):
+    shapes, delivered = record_commit_shapes(monkeypatch)
     fast = _run_workload(seed, fastpath=True, faults=faults)
+    if not faults:
+        # The RPC tri-post chain must actually commit both of its leg
+        # shapes here — the head update (WRITE) and fused request/reply
+        # write-imms — and fused delivery must reach the kernel.
+        assert shapes[("try_fast_chain", "WRITE", False)] > 0
+        assert shapes[("try_fast_chain", "WRITE_IMM", True)] > 0
+        assert delivered[0] > 0, "no fused delivery ran"
     slow = _run_workload(seed, fastpath=False, faults=faults)
+    assert fast[0] == slow[0], "final sim time diverged"
+    assert fast[1] == slow[1], "event sequence counter diverged"
+    assert fast[2] == slow[2], "cluster snapshot diverged"
+    assert fast[3] == slow[3], "op outcomes diverged"
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_unfused_write_imm_equivalence_randomized(monkeypatch, seed):
+    """Chain write-imms that commit without fused delivery.
+
+    With ``cq_poll_batch > 1`` no poller is fusion-eligible, so every
+    request/reply write-imm that commits takes the one-sided shape: the
+    CQE is pushed for real at the responder's write-back instant.
+    Neither other randomized scenario produces this shape.
+    """
+    params = SimParams(cq_poll_batch=4)
+    shapes, delivered = record_commit_shapes(monkeypatch)
+    fast = _run_workload(seed, fastpath=True, faults=False, params=params)
+    assert shapes[("try_fast_chain", "WRITE_IMM", False)] > 0
+    assert not any(fused for (_entry, _op, fused) in shapes)
+    assert delivered[0] == 0
+    slow = _run_workload(seed, fastpath=False, faults=False, params=params)
     assert fast[0] == slow[0], "final sim time diverged"
     assert fast[1] == slow[1], "event sequence counter diverged"
     assert fast[2] == slow[2], "cluster snapshot diverged"
@@ -633,6 +663,7 @@ def test_fast_post_rejects_tracer_and_disabled():
     cluster = Cluster(2)
     kernels = lite_boot(cluster)
     qp = _connected_qp(kernels)
+    window = kernels[0].peers[kernels[1].lite_id].windows[0]
     # Tracer installed → fast path must refuse (trace goldens depend on
     # the generator path's span tree).
     cluster.sim.tracer = object.__new__(type("T", (), {}))
@@ -641,6 +672,6 @@ def test_fast_post_rejects_tracer_and_disabled():
 
         wr = SendWR(opcode=Opcode.WRITE, inline_data=b"x" * 16,
                     remote_addr=0, rkey=0)
-        assert try_fast_post(qp, wr) is None
+        assert try_fast_post(qp, wr, window) is None
     finally:
         cluster.sim.tracer = None

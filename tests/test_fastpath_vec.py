@@ -14,25 +14,66 @@ vectorized commit accounts counters at commit time, so mid-flight
 snapshots may legally differ — end states may not.
 """
 
+import collections
 import dataclasses
 import os
 import random
+import sys
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.core import LiteContext, LiteError, lite_boot
+from repro.core.kernel import LiteKernel
 from repro.determinism import reset_global_counters
 from repro.fault import FaultInjector, FaultPlan
 from repro.hw.params import SimParams
 from repro.recovery import RecoveryManager
 from repro.stats import snapshot
+from repro.verbs import fastpath
 from repro.verbs.fastpath import fp_stats
 
 
 # 64 KB chunks: a 256 KB LMR split across two hosts yields four chunks,
 # so modest offsets straddle chunk and host boundaries.
 CHUNK = 64 * 1024
+
+
+def record_commit_shapes(monkeypatch):
+    """Count committed scalar shapes and fused deliveries.
+
+    Wraps the single-piece commit so each commit is tallied under
+    ``(entry, opcode name, fused)`` — the calling entry function, and
+    whether the commit armed fused delivery (it raises the receiver
+    CQ's ``fp_pending`` synchronously) — and counts calls of
+    ``LiteKernel._fp_deliver``.  Returns ``(shapes, delivered)``; an
+    equivalence test passes vacuously if the shape it is meant to cover
+    stops committing, so the randomized tests assert on both.
+    """
+    shapes = collections.Counter()
+    delivered = [0]
+    commit = fastpath._commit_piece
+
+    def recording_commit(table, window, opcode, *args):
+        lite = table.rdev.node.lite
+        cq = lite.recv_cq if lite is not None else None
+        pending = cq.fp_pending if cq is not None else 0
+        result = commit(table, window, opcode, *args)
+        if result is not None:
+            fused = cq is not None and cq.fp_pending > pending
+            entry = sys._getframe(1).f_code.co_name
+            shapes[(entry, opcode.name, fused)] += 1
+        return result
+
+    deliver = LiteKernel._fp_deliver
+
+    def counting_deliver(self, wc, t_rc):
+        delivered[0] += 1
+        return deliver(self, wc, t_rc)
+
+    monkeypatch.setattr(fastpath, "_commit_piece", recording_commit)
+    monkeypatch.setattr(LiteKernel, "_fp_deliver", counting_deliver)
+    return shapes, delivered
 
 
 def _with_fastpath(enabled):
@@ -117,15 +158,26 @@ def _run_vec_workload(seed: int, fastpath: bool, faults: bool):
 
 @pytest.mark.parametrize("seed", [3, 41])
 @pytest.mark.parametrize("faults", [False, True])
-def test_vec_equivalence_randomized(seed, faults):
+def test_vec_equivalence_randomized(monkeypatch, seed, faults):
+    shapes, _delivered = record_commit_shapes(monkeypatch)
     vec_before = fp_stats.vec_commits
     mismodels_before = fp_stats.mismodels
     fast = _run_vec_workload(seed, fastpath=True, faults=faults)
     assert fp_stats.mismodels == mismodels_before, \
         "vectorized runs must not widen any hold"
     if not faults:
-        assert fp_stats.vec_commits > vec_before, \
-            "the workload must actually exercise vectorized commits"
+        # Every shape this scenario is meant to cover must commit: the
+        # per-piece fallback and single-piece vec plans (WRITE and
+        # READ each, through the scalar commit) and multi-piece plans
+        # (through the closed-form solver).
+        for entry in ("try_fast_post", "try_fast_post_vec"):
+            for op in ("WRITE", "READ"):
+                assert shapes[(entry, op, False)] > 0, \
+                    f"no {entry} {op} commit"
+        single = (shapes[("try_fast_post_vec", "WRITE", False)]
+                  + shapes[("try_fast_post_vec", "READ", False)])
+        assert fp_stats.vec_commits - vec_before > single, \
+            "the workload must exercise multi-piece vectorized commits"
     slow = _run_vec_workload(seed, fastpath=False, faults=faults)
     assert fast[0] == slow[0], "final sim time diverged"
     assert fast[1] == slow[1], "event sequence counter diverged"
